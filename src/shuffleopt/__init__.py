@@ -11,10 +11,8 @@ from .harness import (ConfigError, ExperimentConfig, HarnessError, RunSummary,
 from .objectives import (LogisticObjective, Objective, QuadraticObjective,
                          ReferenceSolveError, SoftmaxObjective, make_quadratic,
                          solve_reference, variance_at_point)
-from .optimizers import (OPTIMIZERS, AdamState, DivergenceError, EpochTrace,
-                         MomentumState, NesterovState, RunResult, SgdState,
-                         TraceOptions, adam_epoch, nag_step, nasg_epoch,
-                         nasg_pi_epoch, run, sgd_epoch, sgdm_epoch)
+from .optimizers import (OPTIMIZERS, DivergenceError, EpochTrace, RunResult,
+                         TraceOptions, run)
 from .schedules import (CBRT12, ScheduleError, ScheduleKind, ScheduleSpec,
                         epoch_step_size)
 from .shuffling import (SchemeKind, ShufflingScheme, generate_permutation,

@@ -81,6 +81,9 @@ def main(argv=None) -> int:
     out = config.out or "results"
     try:
         summary = run_experiment(config, out)
+    except ConfigError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     except (HarnessError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

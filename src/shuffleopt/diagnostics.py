@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .optimizers import RunResult
 from .schedules import CBRT12, ScheduleKind
+
+if TYPE_CHECKING:
+    from .optimizers import RunResult
 
 _E = math.e
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +69,12 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
+        for key in ("seeds", "grid", "x0", "bounds", "rate_epochs"):
+            value = getattr(self, key)
+            if isinstance(value, str):
+                raise ConfigError(f"{key} must be a list, not a string")
+            if value is not None:
+                setattr(self, key, tuple(value))
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
@@ -125,37 +131,13 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("seeds", "grid", "x0", "bounds", "rate_epochs"):
-            if raw.get(key) is not None:
-                raw[key] = tuple(raw[key])
         return cls(**raw)
 
     def to_dict(self) -> dict:
         # the echo stored in artifacts; the output path is not part of it so
         # identical experiments produce identical bytes wherever they land
-        out = {
-            "dataset": dict(self.dataset),
-            "optimizer": self.optimizer,
-            "scheme": self.scheme,
-            "schedule": dict(self.schedule),
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seeds": list(self.seeds),
-            "grid": list(self.grid) if self.grid is not None else None,
-            "label": self.label,
-            "x0": list(self.x0) if self.x0 is not None else None,
-            "record_accuracy": self.record_accuracy,
-            "record_dispersion": self.record_dispersion,
-            "reference": self.reference,
-            "bounds": list(self.bounds),
-            "rate_epochs": list(self.rate_epochs) if self.rate_epochs is not None else None,
-            "sgdm_beta": self.sgdm_beta,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_eps": self.adam_eps,
-            "with_replacement": self.with_replacement,
-        }
-        return out
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in asdict(self).items() if key != "out"}
 
 
 @dataclass
@@ -180,16 +162,7 @@ class RunSummary:
     degraded: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label, "config": self.config, "per_seed": self.per_seed,
-            "value_mean": self.value_mean, "value_ci_low": self.value_ci_low,
-            "value_ci_high": self.value_ci_high, "gap_mean": self.gap_mean,
-            "gap_ci_low": self.gap_ci_low, "gap_ci_high": self.gap_ci_high,
-            "accuracy_mean": self.accuracy_mean, "accuracy_ci_low": self.accuracy_ci_low,
-            "accuracy_ci_high": self.accuracy_ci_high, "grid": self.grid,
-            "selected_lr": self.selected_lr, "bounds": self.bounds, "rate": self.rate,
-            "reference": self.reference, "degraded": self.degraded,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunSummary":
@@ -276,6 +249,21 @@ def _mean_ci(series: list[list[float]]):
     return mean.tolist(), (mean - half).tolist(), (mean + half).tolist()
 
 
+def _check_against_objective(config: ExperimentConfig, objective, ref):
+    """Rejects what only the built objective can show to be wrong, before
+    any run writes an artifact."""
+    if config.batch_size > objective.n:
+        raise ConfigError(f"batch_size {config.batch_size} exceeds the objective's "
+                          f"{objective.n} components")
+    if config.x0 is not None and len(config.x0) != objective.dim:
+        raise ConfigError(f"x0 has {len(config.x0)} entries but the objective has "
+                          f"dimension {objective.dim}")
+    if ref is None and config.bounds:
+        raise ConfigError("bound reports need a reference (minimizer oracle)")
+    if ref is None and config.rate_epochs:
+        raise ConfigError("rate fitting needs a reference (minimizer oracle)")
+
+
 def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
     """Execute the configured runs, aggregate, and write artifacts.
 
@@ -287,6 +275,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
     """
     out = Path(out_dir if out_dir is not None else (config.out or "results"))
     objective, ref = build_objective(config)
+    _check_against_objective(config, objective, ref)
     options = TraceOptions(record_accuracy=config.record_accuracy,
                            record_dispersion=config.record_dispersion)
 
@@ -384,8 +373,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
 def _bound_reports(config, objective, reference_info, per_seed) -> list:
     if not config.bounds:
         return []
-    if reference_info is None:
-        raise ConfigError("bound reports need a reference (minimizer oracle)")
     L = objective.smoothness_bound()
     constants = {"L": L, "n": objective.n, **reference_info}
     theta = float(config.schedule.get("theta", 0.0))
@@ -412,8 +399,6 @@ def _bound_reports(config, objective, reference_info, per_seed) -> list:
 
 
 def _rate_sweep(config, objective, options, f_star) -> dict:
-    if f_star is None:
-        raise ConfigError("rate fitting needs a reference (minimizer oracle)")
     points = []
     for T in config.rate_epochs:
         schedule = _make_schedule(config, objective,

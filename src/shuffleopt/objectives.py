@@ -93,13 +93,7 @@ class LogisticObjective(Objective):
         return float(np.logaddexp(0.0, -z))
 
     def component_gradient(self, w, i):
-        idx, val = self.data.row(i)
-        y = self.data.labels[i]
-        z = y * float(val @ w[idx])
-        s = float(np.exp(-np.logaddexp(0.0, z)))  # sigmoid(-z), overflow-safe
-        g = np.zeros(self.dim)
-        g[idx] = (-y * s) * val
-        return g
+        return self.batch_mean_gradient(w, (i,))
 
     def batch_mean_gradient(self, w, ids):
         data = self.data
@@ -110,6 +104,7 @@ class LogisticObjective(Objective):
             val = data.values[lo:hi]
             y = data.labels[i]
             z = y * float(val @ w[idx])
+            # sigmoid(-z), overflow-safe
             g[idx] += (-y * float(np.exp(-np.logaddexp(0.0, z)))) * val
         g /= len(ids)
         return g

@@ -1,24 +1,32 @@
-"""Epoch-structured first-order methods sharing one driver and trace format.
+"""Epoch-structured first-order methods: one sweep loop, one update rule
+per method.
 
-Methods
--------
-* ``nasg``     permuted per-component sweep from the momentum point, then one
-               (t-1)/(t+2) extrapolation at the end of the epoch;
-* ``nasg-pi``  same sweep, but the extrapolation is applied after every inner
-               step (the per-iteration variant);
-* ``nag``      classical accelerated full-gradient step, one per epoch;
-* ``sgd``      one shuffled pass, w -= lr * mean-gradient of each batch;
+`run` executes every method.  Every epoch it draws the index order, sweeps the
+order's batches from the sweep point y (applying the method's update rule
+after each batch gradient), records the inner iterates, checks the sweep's
+end point for divergence and evaluates the trace row.  The methods differ
+only in that rule and in what becomes of the end point:
+
+* ``nasg``     y -= (eta_t/n) * |batch| * g; the end point is x_t, followed
+               by one extrapolation y = x_t + (t-1)/(t+2) * (x_t - x_{t-1});
+* ``nasg-pi``  same step, but the extrapolation follows every inner step
+               (the per-iteration variant);
+* ``nag``      a single full-gradient step x_t = y - eta_t * grad F(y) in
+               place of the sweep, then the nasg extrapolation;
+* ``sgd``      w -= lr * g;
 * ``sgdm``     heavy-ball velocity m = beta*m + g, then w -= lr * m;
 * ``adam``     bias-corrected adaptive moments, beta1=0.9, beta2=0.999.
 
-Batching: a batch is a contiguous block of the epoch's permutation and all of
-its gradients are evaluated at the same inner iterate.  The nasg family
-applies batches with per-component step eta_t/n, so batch size 1 recovers the
-per-sample sweep exactly and batch size n recovers one full-gradient step of
-size eta_t.  The baselines use the conventional w -= lr * batch-mean step.
+Here g is the mean gradient of the batch.  A batch is a contiguous block of
+the epoch's permutation and all of its gradients are evaluated at the same
+inner iterate.  The nasg family applies batches with per-component step
+eta_t/n, so batch size 1 recovers the per-sample sweep exactly and batch size
+n recovers one full-gradient step of size eta_t.
 
-Divergence (any non-finite iterate) is a first-class outcome: the driver
-raises DivergenceError carrying the partial trace instead of crashing.
+Divergence (a non-finite iterate) is a first-class outcome: `run`
+raises DivergenceError carrying the partial trace instead of crashing.  A
+non-finite value never turns finite again, so checking once per epoch
+reports the epoch in which it first appeared.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import epoch_dispersion
 from .schedules import ScheduleKind, ScheduleSpec, epoch_step_size
 from .shuffling import SchemeKind, ShufflingScheme, generate_permutation, uniform_indices
 
@@ -82,183 +91,6 @@ class RunResult:
         return self.trace[-1].value
 
 
-@dataclass
-class NesterovState:
-    """Iterates of the accelerated methods after `epoch` epochs."""
-
-    x_prev: np.ndarray
-    x_curr: np.ndarray
-    y_curr: np.ndarray
-    epoch: int
-
-
-@dataclass
-class SgdState:
-    w: np.ndarray
-    epoch: int
-
-
-@dataclass
-class MomentumState:
-    w: np.ndarray
-    m: np.ndarray
-    beta: float
-    epoch: int
-
-
-@dataclass
-class AdamState:
-    w: np.ndarray
-    m: np.ndarray
-    v: np.ndarray
-    beta1: float
-    beta2: float
-    eps: float
-    step: int
-    epoch: int
-
-
-def _blocks(order: np.ndarray, batch_size: int):
-    for start in range(0, len(order), batch_size):
-        yield order[start:start + batch_size]
-
-
-def _check_finite(arr: np.ndarray, epoch: int):
-    if not np.isfinite(arr.sum()):
-        raise DivergenceError(f"non-finite iterate in epoch {epoch}", epoch)
-
-
-def nasg_epoch(state: NesterovState, objective, order, eta_t: float,
-               batch_size: int = 1, record_inner: bool = False):
-    """One epoch: sweep the permuted components from y, then extrapolate.
-
-    Returns (new_state, inner) where inner stacks y_0 .. y_last when
-    requested.
-    """
-    t = state.epoch + 1
-    per = eta_t / objective.n
-    y = state.y_curr.copy()
-    inner = [y.copy()] if record_inner else None
-    for ids in _blocks(order, batch_size):
-        g = objective.batch_mean_gradient(y, ids)
-        y -= (per * len(ids)) * g
-        _check_finite(y, t)
-        if record_inner:
-            inner.append(y.copy())
-    x_new = y
-    gamma = (t - 1) / (t + 2)
-    y_new = x_new + gamma * (x_new - state.x_curr)
-    new_state = NesterovState(state.x_curr, x_new, y_new, t)
-    return new_state, (np.array(inner) if record_inner else None)
-
-
-def nasg_pi_epoch(state: NesterovState, objective, order, eta_t: float,
-                  batch_size: int = 1, record_inner: bool = False):
-    """Per-iteration variant: the (t-1)/(t+2) extrapolation follows every
-    inner step, between consecutive x iterates; t is still the epoch index."""
-    t = state.epoch + 1
-    gamma = (t - 1) / (t + 2)
-    per = eta_t / objective.n
-    x = state.x_curr.copy()
-    y = state.y_curr.copy()
-    inner = [y.copy()] if record_inner else None
-    for ids in _blocks(order, batch_size):
-        g = objective.batch_mean_gradient(y, ids)
-        x_new = y - (per * len(ids)) * g
-        y = x_new + gamma * (x_new - x)
-        x = x_new
-        _check_finite(y, t)
-        if record_inner:
-            inner.append(y.copy())
-    new_state = NesterovState(state.x_curr, x, y, t)
-    return new_state, (np.array(inner) if record_inner else None)
-
-
-def nag_step(state: NesterovState, objective, alpha: float) -> NesterovState:
-    """Full-gradient accelerated step: x = y - alpha*grad F(y), then the
-    (t-1)/(t+2) extrapolation."""
-    t = state.epoch + 1
-    x_new = state.y_curr - alpha * objective.full_gradient(state.y_curr)
-    _check_finite(x_new, t)
-    y_new = x_new + ((t - 1) / (t + 2)) * (x_new - state.x_curr)
-    return NesterovState(state.x_curr, x_new, y_new, t)
-
-
-def sgd_epoch(state: SgdState, objective, order, lr: float,
-              batch_size: int = 1, record_inner: bool = False):
-    t = state.epoch + 1
-    w = state.w.copy()
-    inner = [w.copy()] if record_inner else None
-    for ids in _blocks(order, batch_size):
-        w -= lr * objective.batch_mean_gradient(w, ids)
-        _check_finite(w, t)
-        if record_inner:
-            inner.append(w.copy())
-    return SgdState(w, t), (np.array(inner) if record_inner else None)
-
-
-def sgdm_epoch(state: MomentumState, objective, order, lr: float,
-               batch_size: int = 1, record_inner: bool = False):
-    t = state.epoch + 1
-    w = state.w.copy()
-    m = state.m.copy()
-    inner = [w.copy()] if record_inner else None
-    for ids in _blocks(order, batch_size):
-        m = state.beta * m + objective.batch_mean_gradient(w, ids)
-        w -= lr * m
-        _check_finite(w, t)
-        if record_inner:
-            inner.append(w.copy())
-    return MomentumState(w, m, state.beta, t), (np.array(inner) if record_inner else None)
-
-
-def adam_epoch(state: AdamState, objective, order, lr: float,
-               batch_size: int = 1, record_inner: bool = False):
-    t = state.epoch + 1
-    w = state.w.copy()
-    m = state.m.copy()
-    v = state.v.copy()
-    step = state.step
-    inner = [w.copy()] if record_inner else None
-    for ids in _blocks(order, batch_size):
-        g = objective.batch_mean_gradient(w, ids)
-        step += 1
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1 ** step)
-        v_hat = v / (1.0 - state.beta2 ** step)
-        w -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        _check_finite(w, t)
-        if record_inner:
-            inner.append(w.copy())
-    new_state = AdamState(w, m, v, state.beta1, state.beta2, state.eps, step, t)
-    return new_state, (np.array(inner) if record_inner else None)
-
-
-def _initial_state(optimizer: str, dim: int, x0, y0, *, sgdm_beta, adam_beta1,
-                   adam_beta2, adam_eps):
-    x = np.zeros(dim) if x0 is None else np.array(x0, dtype=np.float64)
-    if x.shape != (dim,):
-        raise ValueError(f"x0 must have shape ({dim},)")
-    if not np.isfinite(x).all():
-        raise ValueError("x0 must be finite")
-    if optimizer in ("nasg", "nasg-pi", "nag"):
-        y = x.copy() if y0 is None else np.array(y0, dtype=np.float64)
-        if not np.isfinite(y).all():
-            raise ValueError("y0 must be finite")
-        return NesterovState(x.copy(), x.copy(), y, 0)
-    if y0 is not None:
-        raise ValueError(f"y0 is only meaningful for the Nesterov family, not {optimizer!r}")
-    if optimizer == "sgd":
-        return SgdState(x, 0)
-    if optimizer == "sgdm":
-        return MomentumState(x, np.zeros(dim), sgdm_beta, 0)
-    if optimizer == "adam":
-        return AdamState(x, np.zeros(dim), np.zeros(dim), adam_beta1, adam_beta2,
-                         adam_eps, 0, 0)
-    raise ValueError(f"unknown optimizer {optimizer!r}")
-
-
 def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, T: int | None = None,
         seed: int = 0, batch_size: int = 1, x0=None, y0=None,
         options: TraceOptions | None = None, *, sgdm_beta: float = 0.9,
@@ -287,28 +119,42 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, T: int | None
         raise ValueError(f"batch_size must be in [1, {n}]")
     if with_replacement and optimizer != "sgd":
         raise ValueError("with_replacement only applies to sgd")
-    if options.record_inner or options.record_dispersion:
-        if optimizer == "nag":
-            raise ValueError("inner-iterate recording is not defined for nag")
-
-    scheme = ShufflingScheme(SchemeKind(scheme), seed) if not isinstance(scheme, ShufflingScheme) else scheme
-    state = _initial_state(optimizer, objective.dim, x0, y0, sgdm_beta=sgdm_beta,
-                           adam_beta1=adam_beta1, adam_beta2=adam_beta2, adam_eps=adam_eps)
-
     need_inner = options.record_inner or options.record_dispersion
+    if need_inner and optimizer == "nag":
+        raise ValueError("inner-iterate recording is not defined for nag")
+    if not isinstance(scheme, ShufflingScheme):
+        scheme = ShufflingScheme(SchemeKind(scheme), seed)
+
+    # x is the convergence iterate and y the point each sweep starts from;
+    # the baselines keep them equal
+    nesterov = optimizer in ("nasg", "nasg-pi", "nag")
+    dim = objective.dim
+    x = np.zeros(dim) if x0 is None else np.array(x0, dtype=np.float64)
+    if x.shape != (dim,):
+        raise ValueError(f"x0 must have shape ({dim},)")
+    if not np.isfinite(x).all():
+        raise ValueError("x0 must be finite")
+    if y0 is None:
+        y = x.copy()
+    elif not nesterov:
+        raise ValueError(f"y0 is only meaningful for the Nesterov family, not {optimizer!r}")
+    else:
+        y = np.array(y0, dtype=np.float64)
+        if not np.isfinite(y).all():
+            raise ValueError("y0 must be finite")
+    m = np.zeros(dim)  # sgdm velocity, adam first moment
+    v = np.zeros(dim)  # adam second moment
+    step = 0           # adam bias-correction counter, runs across epochs
+
     trace: list[EpochTrace] = []
-    x_snaps = [state.x_curr.copy() if isinstance(state, NesterovState) else state.w.copy()] \
-        if options.record_iterates else None
-    y_snaps = [state.y_curr.copy()] if options.record_iterates and isinstance(state, NesterovState) else None
+    x_snaps = [x.copy()] if options.record_iterates else None
+    y_snaps = [y.copy()] if options.record_iterates and nesterov else None
     inner_all: list[np.ndarray] | None = [] if options.record_inner else None
     perms: list[np.ndarray] | None = [] if options.record_inner else None
 
-    def _partial() -> RunResult:
-        w = state.x_curr if isinstance(state, NesterovState) else state.w
-        return RunResult(trace, w.copy(), x_snaps, y_snaps, inner_all, perms)
-
     for t in range(1, T + 1):
         eta = epoch_step_size(schedule, t)
+        gamma = (t - 1) / (t + 2)
         if optimizer == "nag":
             order = None
         elif with_replacement:
@@ -316,44 +162,69 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, T: int | None
         else:
             order = generate_permutation(scheme, n, t)
         started = time.perf_counter()
-        # divergence is a first-class outcome: let overflow produce inf/nan
-        # silently and rely on the explicit finiteness checks
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                if optimizer == "nasg":
-                    state, inner = nasg_epoch(state, objective, order, eta, batch_size, need_inner)
-                elif optimizer == "nasg-pi":
-                    state, inner = nasg_pi_epoch(state, objective, order, eta, batch_size, need_inner)
-                elif optimizer == "nag":
-                    state, inner = nag_step(state, objective, eta), None
-                elif optimizer == "sgd":
-                    state, inner = sgd_epoch(state, objective, order, eta, batch_size, need_inner)
-                elif optimizer == "sgdm":
-                    state, inner = sgdm_epoch(state, objective, order, eta, batch_size, need_inner)
-                else:
-                    state, inner = adam_epoch(state, objective, order, eta, batch_size, need_inner)
-        except DivergenceError as err:
-            raise DivergenceError(str(err), err.epoch, _partial()) from None
-        elapsed = time.perf_counter() - started
-
-        w = state.x_curr if isinstance(state, NesterovState) else state.w
+        # let overflow produce inf/nan silently; the end-of-sweep check below
+        # catches it
         with np.errstate(over="ignore", invalid="ignore"):
-            g = objective.full_gradient(w)
-            row = EpochTrace(epoch=t, value=objective.full_value(w),
+            inner = None
+            if optimizer == "nag":
+                z = y - eta * objective.full_gradient(y)
+            else:
+                z = y.copy()
+                x_step = x  # nasg-pi's inner x iterate
+                if need_inner:
+                    inner = [z.copy()]
+                for start in range(0, n, batch_size):
+                    ids = order[start:start + batch_size]
+                    g = objective.batch_mean_gradient(z, ids)
+                    if optimizer == "nasg":
+                        z -= (eta / n * len(ids)) * g
+                    elif optimizer == "nasg-pi":
+                        x_new = z - (eta / n * len(ids)) * g
+                        z = x_new + gamma * (x_new - x_step)
+                        x_step = x_new
+                    elif optimizer == "sgd":
+                        z -= eta * g
+                    elif optimizer == "sgdm":
+                        m = sgdm_beta * m + g
+                        z -= eta * m
+                    else:
+                        step += 1
+                        m = adam_beta1 * m + (1.0 - adam_beta1) * g
+                        v = adam_beta2 * v + (1.0 - adam_beta2) * g * g
+                        m_hat = m / (1.0 - adam_beta1 ** step)
+                        v_hat = v / (1.0 - adam_beta2 ** step)
+                        z -= eta * m_hat / (np.sqrt(v_hat) + adam_eps)
+                    if need_inner:
+                        inner.append(z.copy())
+                if need_inner:
+                    inner = np.array(inner)
+            if not np.isfinite(z.sum()):
+                raise DivergenceError(f"non-finite iterate in epoch {t}", t,
+                                      RunResult(trace, x.copy(), x_snaps, y_snaps,
+                                                inner_all, perms))
+            if optimizer == "nasg-pi":
+                x, y = x_step, z
+            elif nesterov:
+                x, y = z, z + gamma * (z - x)
+            else:
+                x = y = z
+            elapsed = time.perf_counter() - started
+
+            g = objective.full_gradient(x)
+            row = EpochTrace(epoch=t, value=objective.full_value(x),
                              grad_sq_norm=float(g @ g), step_size=eta, wall_time=elapsed)
-        if options.record_accuracy:
-            row.accuracy = objective.accuracy(w)
-        if options.record_dispersion and inner is not None:
-            steps = inner[1:]
-            row.disp_start = float(((steps - inner[0]) ** 2).sum(axis=1).mean())
-            row.disp_end = float(((steps - inner[-1]) ** 2).sum(axis=1).mean())
+            if options.record_accuracy:
+                row.accuracy = objective.accuracy(x)
+            if options.record_dispersion:
+                dispersion = epoch_dispersion(inner)
+                row.disp_start, row.disp_end = dispersion.start_msd, dispersion.end_msd
         trace.append(row)
         if options.record_iterates:
-            x_snaps.append(w.copy())
+            x_snaps.append(x.copy())
             if y_snaps is not None:
-                y_snaps.append(state.y_curr.copy())
+                y_snaps.append(y.copy())
         if options.record_inner:
             inner_all.append(inner)
             perms.append(order.copy())
 
-    return _partial()
+    return RunResult(trace, x.copy(), x_snaps, y_snaps, inner_all, perms)

@@ -39,11 +39,6 @@ def words(key: int, count: int) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def uniform01(key: int, count: int) -> np.ndarray:
-    """float64 draws in [0, 1) with 53 random bits each."""
-    return (words(key, count) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-
-
 def standard_normals(key: int, count: int) -> np.ndarray:
     """Standard Gaussian draws via Box-Muller on the keyed stream."""
     pairs = (count + 1) // 2

@@ -259,3 +259,22 @@ def test_cli_libsvm_dataset(tmp_path):
     code = main(["run", "--dataset", str(fixture), "--optimizer", "sgd",
                  "--lr", "0.1", "--epochs", "2", "--seeds", "1", "--out", str(out)])
     assert code == 0
+
+
+BAD_CONFIGS = {
+    "batch-exceeds-n": {"dataset": {"kind": "quadratic", "n": 5, "d": 2}, "batch_size": 9},
+    "x0-wrong-length": {"dataset": {"kind": "quadratic", "n": 5, "d": 2}, "x0": [0.0, 0.0, 0.0]},
+    "bounds-without-reference": {"reference": "none", "bounds": ["thm1"]},
+    "rate-without-reference": {"reference": "none", "rate_epochs": [4, 8, 16]},
+    "string-seeds": {"seeds": "123"},
+}
+
+
+@pytest.mark.parametrize("probe", sorted(BAD_CONFIGS))
+def test_cli_rejects_config_before_any_artifact(tmp_path, capsys, probe):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"epochs": 2, **BAD_CONFIGS[probe]}))
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
