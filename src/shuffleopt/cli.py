@@ -15,6 +15,9 @@ import sys
 from pathlib import Path
 
 from .harness import ConfigError, ExperimentConfig, HarnessError, run_experiment
+from .optimizers import OPTIMIZERS
+from .schedules import ScheduleKind
+from .shuffling import SchemeKind
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -25,9 +28,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", help="LIBSVM file path (switches dataset kind to libsvm)")
     p.add_argument("--objective", choices=["logistic", "softmax"],
                    help="objective for a libsvm dataset")
-    p.add_argument("--optimizer", choices=["nasg", "nasg-pi", "nag", "sgd", "sgdm", "adam"])
-    p.add_argument("--scheme", choices=["rr", "ss", "ig"])
-    p.add_argument("--schedule", choices=["constant", "thm1", "thm2", "thm3", "init-cond"])
+    p.add_argument("--optimizer", choices=OPTIMIZERS)
+    p.add_argument("--scheme", choices=[kind.value for kind in SchemeKind])
+    p.add_argument("--schedule", choices=[kind.value for kind in ScheduleKind])
     p.add_argument("--lr", type=float, help="constant step size")
     p.add_argument("--theta", type=float, help="variance-bound constant for thm2")
     p.add_argument("--epochs", type=int)

@@ -8,7 +8,8 @@ Artifacts (fixed schemas, see README):
   ``epoch,value,grad_sq_norm,step_size,gap,accuracy,disp_start,disp_end``;
 * one ``summary.json`` per experiment.
 
-Floats are written with shortest round-trip repr and files end with a single
+Every artifact is rendered in memory and written only after the summary is
+built, so an experiment that fails leaves no output directory.  Floats are written with shortest round-trip repr and files end with a single
 newline, so re-running the same config reproduces every artifact byte for
 byte.  Wall-clock timings stay in memory and are never serialized.
 """
@@ -17,6 +18,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -42,6 +45,41 @@ class HarnessError(RuntimeError):
 
 
 _DEFAULT_DATASET = {"kind": "quadratic", "n": 50, "d": 10, "seed": 7, "spread": 1.0}
+
+_INT, _REAL, _NULL = numbers.Integral, numbers.Real, type(None)
+_TYPE_NAMES = {_INT: "an integer", _REAL: "a number", bool: "true or false",
+               str: "a string", dict: "an object", _NULL: "null"}
+_FIELD_TYPES = {"dataset": dict, "optimizer": str, "scheme": str, "schedule": dict,
+                "epochs": _INT, "batch_size": _INT, "label": (str, _NULL),
+                "record_accuracy": bool, "record_dispersion": bool, "reference": str,
+                "sgdm_beta": _REAL, "adam_beta1": _REAL, "adam_beta2": _REAL,
+                "adam_eps": _REAL, "with_replacement": bool, "out": (str, _NULL)}
+# list fields and the type of their entries
+_LIST_TYPES = {"seeds": _REAL, "grid": _REAL, "x0": _REAL, "bounds": str, "rate_epochs": _REAL}
+# the keys each dataset and schedule kind takes beside "kind"
+_DATASET_KEYS = {
+    "quadratic": {"n": _REAL, "d": _REAL, "seed": _REAL, "spread": _REAL},
+    "libsvm": {"path": str, "objective": str, "mode": str, "dim": (_INT, _NULL),
+               "add_bias": bool, "scale": bool},
+}
+_SCHEDULE_KEYS = {"constant": {"lr": _REAL}, "thm2": {"theta": _REAL, "sigma_sq": _REAL}}
+
+
+def _check_type(name: str, value, allowed):
+    allowed = allowed if isinstance(allowed, tuple) else (allowed,)
+    # bool is an int subtype, so true/false only pass where booleans belong
+    if isinstance(value, bool) != (bool in allowed) or not isinstance(value, allowed):
+        names = " or ".join(_TYPE_NAMES[t] for t in allowed)
+        raise ConfigError(f"{name} must be {names}, not {value!r}")
+
+
+def _check_entries(name: str, raw: dict, types: dict):
+    unknown = set(raw) - {"kind"} - set(types)
+    if unknown:
+        raise ConfigError(f"unknown keys for a {raw['kind']} {name}: {sorted(unknown)}")
+    for key, value in raw.items():
+        if key != "kind":
+            _check_type(f"{name}.{key}", value, types[key])
 
 
 @dataclass
@@ -69,12 +107,17 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        for key in ("seeds", "grid", "x0", "bounds", "rate_epochs"):
+        for key, allowed in _FIELD_TYPES.items():
+            _check_type(key, getattr(self, key), allowed)
+        for key, allowed in _LIST_TYPES.items():
             value = getattr(self, key)
-            if isinstance(value, str):
-                raise ConfigError(f"{key} must be a list, not a string")
-            if value is not None:
-                setattr(self, key, tuple(value))
+            if value is None and key != "seeds":
+                continue
+            if isinstance(value, (str, dict)) or not isinstance(value, Iterable):
+                raise ConfigError(f"{key} must be a list, not {value!r}")
+            setattr(self, key, tuple(value))
+            for entry in getattr(self, key):
+                _check_type(f"{key} entry", entry, allowed)
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
@@ -89,6 +132,9 @@ class ExperimentConfig:
             kind = ScheduleKind(kind)
         except ValueError:
             raise ConfigError(f"unknown schedule kind {kind!r}") from None
+        _check_entries("schedule", self.schedule, _SCHEDULE_KEYS.get(kind.value, {}))
+        if self.schedule.get("sigma_sq", 0) < 0:
+            raise ConfigError("schedule.sigma_sq must be >= 0")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -106,24 +152,42 @@ class ExperimentConfig:
             raise ConfigError(f"unknown reference mode {self.reference!r}")
         for regime in self.bounds:
             try:
-                ScheduleKind(regime)
+                regime = ScheduleKind(regime)
             except ValueError:
                 raise ConfigError(f"unknown bound regime {regime!r}") from None
+            if regime is ScheduleKind.CONSTANT:
+                raise ConfigError("constant steps have no bound to report")
+        if self.bounds and self.epochs < 2:
+            raise ConfigError("bound reports need epochs >= 2")
         if self.rate_epochs is not None:
             self.rate_epochs = tuple(int(T) for T in self.rate_epochs)
+            if self.rate_epochs and (len(set(self.rate_epochs)) != len(self.rate_epochs)
+                                     or len(self.rate_epochs) < 3):
+                raise ConfigError("rate_epochs needs at least 3 distinct horizons")
         ds_kind = self.dataset.get("kind")
+        if ds_kind not in ("quadratic", "libsvm"):
+            raise ConfigError(f"unknown dataset kind {ds_kind!r}")
+        _check_entries("dataset", self.dataset, _DATASET_KEYS[ds_kind])
         if ds_kind == "libsvm":
             if "path" not in self.dataset:
                 raise ConfigError("libsvm dataset needs a path")
             if self.dataset.get("objective", "logistic") not in ("logistic", "softmax"):
                 raise ConfigError("libsvm objective must be logistic or softmax")
-        elif ds_kind != "quadratic":
-            raise ConfigError(f"unknown dataset kind {ds_kind!r}")
+            if self.reference == "closed-form":
+                raise ConfigError("closed-form reference only exists for quadratic datasets")
+        if self.x0 is not None and not all(math.isfinite(v) for v in self.x0):
+            raise ConfigError("x0 must be finite")
+        if self.with_replacement and self.optimizer != "sgd":
+            raise ConfigError("with_replacement only applies to sgd")
+        if self.record_dispersion and self.optimizer == "nag":
+            raise ConfigError("record_dispersion is not defined for nag, which has no sweep")
         if self.label is None:
             self.label = f"{self.optimizer}-{self.scheme}-{kind.value}"
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError("a config must be a JSON object")
         raw = dict(raw)
         if raw.get("grid") is not None and "schedule" not in raw:
             raw["schedule"] = {"kind": "constant"}
@@ -187,16 +251,13 @@ def build_objective(config: ExperimentConfig):
         else SoftmaxObjective(dataset)
     if config.reference == "solve":
         return objective, solve_reference(objective)
-    if config.reference == "closed-form":
-        raise ConfigError("closed-form reference only exists for quadratic datasets")
     return objective, None
 
 
-def _make_schedule(config: ExperimentConfig, objective, lr=None, T=None) -> ScheduleSpec:
+def _make_schedule(config: ExperimentConfig, objective, lr, T) -> ScheduleSpec:
     kind = ScheduleKind(config.schedule["kind"])
-    T = config.epochs if T is None else T
     if kind is ScheduleKind.CONSTANT:
-        return ScheduleSpec(kind, T, lr=float(lr if lr is not None else config.schedule["lr"]))
+        return ScheduleSpec(kind, T, lr=float(lr))
     L = objective.smoothness_bound()
     if kind is ScheduleKind.VARIANCE:
         return ScheduleSpec(kind, T, L=L, theta=float(config.schedule.get("theta", 0.0)))
@@ -205,17 +266,22 @@ def _make_schedule(config: ExperimentConfig, objective, lr=None, T=None) -> Sche
     return ScheduleSpec(kind, T, L=L)
 
 
-def _single_run(config, objective, schedule, seed, options):
-    """Returns (result, diverged, epoch_of_divergence)."""
-    try:
-        result = run(config.optimizer, objective, config.scheme, schedule,
-                     T=schedule.T, seed=seed, batch_size=config.batch_size,
-                     x0=config.x0, options=options, sgdm_beta=config.sgdm_beta,
-                     adam_beta1=config.adam_beta1, adam_beta2=config.adam_beta2,
-                     adam_eps=config.adam_eps, with_replacement=config.with_replacement)
-        return result, False, None
-    except DivergenceError as err:
-        return err.partial, True, err.epoch
+def _runs(table: dict, key, config: ExperimentConfig, objective, schedules, options) -> list:
+    """The table entry for key = (lr, T): per seed, the result and the epoch of
+    divergence (None if the run completed).  Each entry runs once."""
+    if key not in table:
+        table[key] = []
+        for seed in config.seeds:
+            try:
+                table[key].append((run(
+                    config.optimizer, objective, config.scheme, schedules[key], seed=seed,
+                    batch_size=config.batch_size, x0=config.x0, options=options,
+                    sgdm_beta=config.sgdm_beta, adam_beta1=config.adam_beta1,
+                    adam_beta2=config.adam_beta2, adam_eps=config.adam_eps,
+                    with_replacement=config.with_replacement), None))
+            except DivergenceError as err:
+                table[key].append((err.partial, err.epoch))
+    return table[key]
 
 
 def _fmt(x) -> str:
@@ -265,16 +331,23 @@ def _check_against_objective(config: ExperimentConfig, objective, ref):
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
-    """Execute the configured runs, aggregate, and write artifacts.
+    """Build, run, then write the experiment's artifacts.
 
-    Grid search (constant schedule only) evaluates every learning rate over
-    the configured seeds and selects the lowest seed-mean final training
-    loss among entries where no seed diverged, ties toward the smaller rate.
-    Divergence of a selected-configuration seed is recorded per seed and
-    marks the summary degraded instead of aborting the experiment.
+    Every run comes from one table keyed by (lr, T), so the rate sweep reuses
+    the primary runs at T = epochs.  Grid search (constant schedule only)
+    selects the lowest seed-mean final training loss among entries where no
+    seed diverged, ties toward the smaller rate, and the rate sweep uses that
+    rate.  A diverged primary seed marks the summary degraded instead of
+    aborting; an exception before the summary is built leaves nothing written.
     """
     out = Path(out_dir if out_dir is not None else (config.out or "results"))
-    objective, ref = build_objective(config)
+    try:
+        objective, ref = build_objective(config)
+        rates = config.grid if config.grid is not None else (config.schedule.get("lr"),)
+        schedules = {(lr, T): _make_schedule(config, objective, lr, T) for lr in rates
+                     for T in (config.epochs, *(config.rate_epochs or ()))}
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     _check_against_objective(config, objective, ref)
     options = TraceOptions(record_accuracy=config.record_accuracy,
                            record_dispersion=config.record_dispersion)
@@ -290,55 +363,46 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
             "delta": float(np.sum((x0 - x_star) ** 2)),
         }
 
-    grid_rows = None
-    selected_lr = None
+    table = {}
+    artifacts = {}  # relative path -> text
+    grid_rows = selected_lr = None
+    lr = config.schedule.get("lr")  # the configured rate, unless a grid selects one
     if config.grid is not None:
         grid_rows = []
-        runs_by_lr = {}
-        for lr in config.grid:
-            schedule = _make_schedule(config, objective, lr=lr)
-            results = [_single_run(config, objective, schedule, s, options)
-                       for s in config.seeds]
-            runs_by_lr[lr] = results
-            diverged = any(d for _, d, _ in results)
-            finals = [r.final_value for r, d, _ in results if not d and r.trace]
-            grid_rows.append({"lr": lr, "diverged": diverged,
+        for grid_lr in config.grid:
+            runs = _runs(table, (grid_lr, config.epochs), config, objective, schedules, options)
+            finals = [result.final_value for result, bad in runs if bad is None]
+            grid_rows.append({"lr": grid_lr, "diverged": any(bad is not None for _, bad in runs),
                               "mean_final_value": (sum(finals) / len(finals)) if finals else None})
-            for (result, d, _), seed in zip(results, config.seeds):
-                if result is not None and result.trace:
-                    _write_text(out / "runs" / f"lr{lr!r}" / f"seed{seed}.csv",
-                                _trace_csv(result.trace, f_star))
-        eligible = [g for g in grid_rows if not g["diverged"] and g["mean_final_value"] is not None]
+            for (result, _), seed in zip(runs, config.seeds):
+                if result.trace:
+                    artifacts[f"runs/lr{grid_lr!r}/seed{seed}.csv"] = \
+                        _trace_csv(result.trace, f_star)
+        eligible = [g for g in grid_rows if not g["diverged"]]
         if not eligible:
             raise HarnessError("every grid entry diverged")
-        selected_lr = min(eligible, key=lambda g: (g["mean_final_value"], g["lr"]))["lr"]
-        primary = runs_by_lr[selected_lr]
-    else:
-        schedule = _make_schedule(config, objective,
-                                  lr=config.schedule.get("lr")
-                                  if config.schedule["kind"] == "constant" else None)
-        primary = [_single_run(config, objective, schedule, s, options)
-                   for s in config.seeds]
+        lr = selected_lr = min(eligible, key=lambda g: (g["mean_final_value"], g["lr"]))["lr"]
 
     per_seed = []
     completed = []
-    for (result, diverged, bad_epoch), seed in zip(primary, config.seeds):
-        trace = result.trace if result is not None else []
+    primary = _runs(table, (lr, config.epochs), config, objective, schedules, options)
+    for (result, bad_epoch), seed in zip(primary, config.seeds):
+        trace = result.trace
         entry = {
             "seed": seed,
-            "diverged": diverged,
+            "diverged": bad_epoch is not None,
             "epochs_completed": len(trace),
             "final_value": trace[-1].value if trace else None,
             "final_gap": (trace[-1].value - f_star) if trace and f_star is not None else None,
             "csv": f"runs/seed{seed}.csv",
         }
-        if diverged:
+        if bad_epoch is not None:
             entry["diverged_at_epoch"] = bad_epoch
+        else:
+            completed.append(trace)
         per_seed.append(entry)
         if trace:
-            _write_text(out / "runs" / f"seed{seed}.csv", _trace_csv(trace, f_star))
-        if not diverged and len(trace) == config.epochs:
-            completed.append(trace)
+            artifacts[f"runs/seed{seed}.csv"] = _trace_csv(trace, f_star)
 
     degraded = any(e["diverged"] for e in per_seed)
     if completed:
@@ -357,7 +421,18 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
         acc_mean, acc_lo, acc_hi = _mean_ci([[r.accuracy for r in t] for t in completed])
 
     bounds = _bound_reports(config, objective, reference_info, per_seed)
-    rate = _rate_sweep(config, objective, options, f_star) if config.rate_epochs else None
+    rate = None
+    if config.rate_epochs:
+        gaps = []
+        for T in config.rate_epochs:
+            runs = _runs(table, (lr, T), config, objective, schedules, options)
+            for (_, bad), seed in zip(runs, config.seeds):
+                if bad is not None:
+                    raise HarnessError(f"rate sweep diverged at T={T}, seed={seed}")
+            gaps.append(sum(result.final_value - f_star for result, _ in runs) / len(runs))
+        fit = fit_rate(zip(config.rate_epochs, gaps))
+        rate = {"epochs": list(config.rate_epochs), "mean_gaps": gaps,
+                "slope": fit.slope, "intercept": fit.intercept}
 
     summary = RunSummary(label=config.label, config=config.to_dict(), per_seed=per_seed,
                          value_mean=value_mean, value_ci_low=value_lo, value_ci_high=value_hi,
@@ -365,8 +440,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
                          accuracy_mean=acc_mean, accuracy_ci_low=acc_lo, accuracy_ci_high=acc_hi,
                          grid=grid_rows, selected_lr=selected_lr, bounds=bounds, rate=rate,
                          reference=reference_info, degraded=degraded)
-    _write_text(out / "summary.json",
-                json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n")
+    artifacts["summary.json"] = json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n"
+    for path, text in artifacts.items():
+        _write_text(out / path, text)
     return summary
 
 
@@ -396,24 +472,6 @@ def _bound_reports(config, objective, reference_info, per_seed) -> list:
             report.add(config.epochs, mean_gap, bound, seed=None)
         reports.append(report.to_dict())
     return reports
-
-
-def _rate_sweep(config, objective, options, f_star) -> dict:
-    points = []
-    for T in config.rate_epochs:
-        schedule = _make_schedule(config, objective,
-                                  lr=config.schedule.get("lr")
-                                  if config.schedule["kind"] == "constant" else None, T=T)
-        finals = []
-        for seed in config.seeds:
-            result, diverged, _ = _single_run(config, objective, schedule, seed, options)
-            if diverged:
-                raise HarnessError(f"rate sweep diverged at T={T}, seed={seed}")
-            finals.append(result.final_value - f_star)
-        points.append((T, sum(finals) / len(finals)))
-    fit = fit_rate(points)
-    return {"epochs": [p[0] for p in points], "mean_gaps": [p[1] for p in points],
-            "slope": fit.slope, "intercept": fit.intercept}
 
 
 def emit_plot_data(summaries, path, metric: str = "value"):

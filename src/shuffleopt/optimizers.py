@@ -92,7 +92,7 @@ class RunResult:
 
 
 def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, T: int | None = None,
-        seed: int = 0, batch_size: int = 1, x0=None, y0=None,
+        seed: int = 0, batch_size: int = 1, x0=None,
         options: TraceOptions | None = None, *, sgdm_beta: float = 0.9,
         adam_beta1: float = 0.9, adam_beta2: float = 0.999, adam_eps: float = 1e-8,
         with_replacement: bool = False) -> RunResult:
@@ -134,14 +134,7 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, T: int | None
         raise ValueError(f"x0 must have shape ({dim},)")
     if not np.isfinite(x).all():
         raise ValueError("x0 must be finite")
-    if y0 is None:
-        y = x.copy()
-    elif not nesterov:
-        raise ValueError(f"y0 is only meaningful for the Nesterov family, not {optimizer!r}")
-    else:
-        y = np.array(y0, dtype=np.float64)
-        if not np.isfinite(y).all():
-            raise ValueError("y0 must be finite")
+    y = x.copy()
     m = np.zeros(dim)  # sgdm velocity, adam first moment
     v = np.zeros(dim)  # adam second moment
     step = 0           # adam bias-correction counter, runs across epochs
@@ -198,7 +191,7 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, T: int | None
                         inner.append(z.copy())
                 if need_inner:
                     inner = np.array(inner)
-            if not np.isfinite(z.sum()):
+            if not np.isfinite(z).all():
                 raise DivergenceError(f"non-finite iterate in epoch {t}", t,
                                       RunResult(trace, x.copy(), x_snaps, y_snaps,
                                                 inner_all, perms))

@@ -4,10 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from shuffleopt import harness
 from shuffleopt.cli import main
 from shuffleopt.harness import (ConfigError, ExperimentConfig, HarnessError,
                                 RunSummary, emit_plot_data, run_experiment)
 from shuffleopt.objectives import make_quadratic
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def quad_config(**overrides):
@@ -173,6 +176,27 @@ def test_rate_sweep_via_harness(tmp_path):
     assert summary.rate["slope"] < 0
 
 
+def test_grid_rate_sweep_runs_at_selected_lr(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3].T)
+        return run(*args, **kwargs)
+
+    run = harness.run
+    monkeypatch.setattr(harness, "run", counted)
+    sweep = {"optimizer": "sgd", "scheme": "rr", "epochs": 8, "seeds": [1, 2],
+             "rate_epochs": [4, 8, 16]}
+    summary = run_experiment(quad_config(grid=[25.0, 0.2, 0.05], schedule={"kind": "constant"},
+                                         **sweep), tmp_path / "grid")
+    # 3 grid rates at T = 8, then the horizons 4 and 16; T = 8 reuses the primary runs
+    assert sorted(calls) == [4, 4] + [8] * 6 + [16, 16]
+    fixed = run_experiment(
+        quad_config(schedule={"kind": "constant", "lr": summary.selected_lr}, **sweep),
+        tmp_path / "fixed")
+    assert summary.rate == fixed.rate
+
+
 def test_accuracy_series(tmp_path):
     fixture = Path(__file__).parent.parent / "fixtures" / "binary_pm1.libsvm"
     config = ExperimentConfig.from_dict({
@@ -267,7 +291,28 @@ BAD_CONFIGS = {
     "bounds-without-reference": {"reference": "none", "bounds": ["thm1"]},
     "rate-without-reference": {"reference": "none", "rate_epochs": [4, 8, 16]},
     "string-seeds": {"seeds": "123"},
+    "scalar-seeds": {"seeds": 3},
+    "string-epochs": {"epochs": "5"},
+    "string-batch-size": {"batch_size": "2"},
+    "string-record-accuracy": {"record_accuracy": "no"},
+    "unknown-dataset-key": {"dataset": {"kind": "quadratic", "N": 5}},
+    "unknown-schedule-key": {"schedule": {"kind": "thm1", "lr": 0.1}},
+    "theta-without-thm2": {"schedule": {"kind": "thm1"}},
+    "thm1-one-epoch": {"epochs": 1},
+    "thm2-negative-theta": {"schedule": {"kind": "thm2", "theta": -1}},
+    "constant-negative-lr": {"schedule": {"kind": "constant", "lr": -1}},
+    "quadratic-no-components": {"dataset": {"kind": "quadratic", "n": 0}},
+    "softmax-on-binary-data": {"dataset": {"kind": "libsvm", "objective": "softmax",
+                                           "path": str(FIXTURES / "blobs600.libsvm")}},
+    "malformed-libsvm": {"dataset": {"kind": "libsvm",
+                                     "path": str(FIXTURES / "malformed" / "bad_label.libsvm")}},
+    "x0-nan": {"dataset": {"kind": "quadratic", "n": 5, "d": 2}, "x0": [float("nan"), 0.0]},
+    "replacement-with-nasg": {"with_replacement": True},
+    "dispersion-with-nag": {"optimizer": "nag", "record_dispersion": True},
+    "constant-bound": {"bounds": ["constant"]},
+    "two-rate-horizons": {"rate_epochs": [4, 8]},
 }
+BAD_FLAGS = {"theta-without-thm2": ["--theta", "0.5"]}
 
 
 @pytest.mark.parametrize("probe", sorted(BAD_CONFIGS))
@@ -275,6 +320,26 @@ def test_cli_rejects_config_before_any_artifact(tmp_path, capsys, probe):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"epochs": 2, **BAD_CONFIGS[probe]}))
     out = tmp_path / "results"
-    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+    argv = ["run", "--config", str(config_path), "--out", str(out), *BAD_FLAGS.get(probe, [])]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+RUNTIME_FAILURES = {
+    "rate-sweep-diverges": {"optimizer": "sgd", "schedule": {"kind": "constant", "lr": 3.0},
+                            "epochs": 4, "seeds": [1], "rate_epochs": [4, 64, 128]},
+    "every-grid-rate-diverges": {"dataset": {"kind": "quadratic", "n": 20, "d": 4, "seed": 3},
+                                 "optimizer": "sgd", "grid": [40.0, 30.0], "epochs": 15,
+                                 "seeds": [1]},
+}
+
+
+@pytest.mark.parametrize("probe", sorted(RUNTIME_FAILURES))
+def test_cli_runtime_failure_writes_nothing(tmp_path, capsys, probe):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(RUNTIME_FAILURES[probe]))
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()

@@ -282,6 +282,16 @@ def test_dispersion_of_a_huge_epoch_is_silent():
     assert res.trace[-1].disp_start == np.inf
 
 
+def test_huge_finite_iterate_is_not_divergent():
+    # every entry is finite, but their sum overflows
+    obj, _, _ = make_quadratic(2, 2, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run("sgd", obj, "ig", constant(1e-12), x0=np.array([1e308, 1e308]))
+    assert len(res.trace) == 1
+    assert np.isfinite(res.final_x).all()
+
+
 def test_nasg_full_batch_ig_equals_nag():
     obj, _, _ = make_quadratic(50, 10, seed=7)
     sched = ScheduleSpec(ScheduleKind.UNIFIED, T=16, L=1.0)
