@@ -3,9 +3,9 @@ guarantee-backed step-size schedules, convergence diagnostics, and a
 benchmark harness."""
 
 from .data import Dataset, ParseError, load_libsvm, parse_libsvm, serialize_libsvm
-from .diagnostics import (BoundReport, DispersionRecord, DriftCheck, RateFit,
-                          center_update_errors, check_drift_bound, convergence_bound,
-                          epoch_dispersion, fit_rate, momentum_reconstruction_errors)
+from .diagnostics import (DispersionRecord, DriftCheck, RateFit, center_update_errors,
+                          check_drift_bound, convergence_bound, epoch_dispersion, fit_rate,
+                          momentum_reconstruction_errors)
 from .harness import (ConfigError, ExperimentConfig, HarnessError, RunSummary,
                       build_objective, emit_plot_data, run_experiment)
 from .objectives import (LogisticObjective, Objective, QuadraticObjective,

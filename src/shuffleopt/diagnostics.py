@@ -8,7 +8,7 @@ identities of the accelerated sweep, and log-log rate fitting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -126,27 +126,6 @@ def convergence_bound(regime, T: int, *, L: float, sigma_star_sq: float | None =
         e_sq = need(delta, "delta (or e_sq)") * n
     scale = n ** 0.75 * T
     return 4.0 * s / (9.0 * L * scale) + 2.0 * L * e_sq * _E * CBRT12 / scale
-
-
-@dataclass
-class BoundReport:
-    """Measured gaps against a closed-form guarantee, one row per horizon."""
-
-    regime: str
-    constants: dict
-    rows: list[dict] = field(default_factory=list)
-
-    def add(self, T: int, gap: float, bound: float, seed=None):
-        self.rows.append({"T": T, "seed": seed, "gap": gap, "bound": bound,
-                          "satisfied": bool(gap <= bound)})
-
-    @property
-    def satisfied(self) -> bool:
-        return all(r["satisfied"] for r in self.rows)
-
-    def to_dict(self) -> dict:
-        return {"regime": self.regime, "constants": dict(self.constants),
-                "rows": [dict(r) for r in self.rows], "satisfied": self.satisfied}
 
 
 @dataclass

@@ -9,9 +9,9 @@ Artifacts (fixed schemas, see README):
 * one ``summary.json`` per experiment.
 
 Every artifact is rendered in memory and written only after the summary is
-built, so an experiment that fails leaves no output directory.  Floats are written with shortest round-trip repr and files end with a single
-newline, so re-running the same config reproduces every artifact byte for
-byte.  Wall-clock timings stay in memory and are never serialized.
+built, so an experiment that fails leaves no output directory.  Floats are
+written with shortest round-trip repr and files end with a single newline, so
+re-running the same config reproduces every artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from .data import load_libsvm
-from .diagnostics import BoundReport, convergence_bound, fit_rate
+from .diagnostics import convergence_bound, fit_rate
 from .objectives import (LogisticObjective, SoftmaxObjective, make_quadratic,
                          solve_reference, variance_at_point)
-from .optimizers import OPTIMIZERS, DivergenceError, TraceOptions, run
+from .optimizers import OPTIMIZERS, DivergenceError, TraceOptions, run, start_point
 from .schedules import ScheduleKind, ScheduleSpec
 from .shuffling import SchemeKind
 
@@ -55,7 +55,7 @@ _FIELD_TYPES = {"dataset": dict, "optimizer": str, "scheme": str, "schedule": di
                 "sgdm_beta": _REAL, "adam_beta1": _REAL, "adam_beta2": _REAL,
                 "adam_eps": _REAL, "with_replacement": bool, "out": (str, _NULL)}
 # list fields and the type of their entries
-_LIST_TYPES = {"seeds": _REAL, "grid": _REAL, "x0": _REAL, "bounds": str, "rate_epochs": _REAL}
+_LIST_TYPES = {"seeds": _INT, "grid": _REAL, "x0": _REAL, "bounds": str, "rate_epochs": _INT}
 # the keys each dataset and schedule kind takes beside "kind"
 _DATASET_KEYS = {
     "quadratic": {"n": _REAL, "d": _REAL, "seed": _REAL, "spread": _REAL},
@@ -118,7 +118,6 @@ class ExperimentConfig:
             setattr(self, key, tuple(value))
             for entry in getattr(self, key):
                 _check_type(f"{key} entry", entry, allowed)
-        self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
         if self.optimizer not in OPTIMIZERS:
@@ -135,14 +134,10 @@ class ExperimentConfig:
         _check_entries("schedule", self.schedule, _SCHEDULE_KEYS.get(kind.value, {}))
         if self.schedule.get("sigma_sq", 0) < 0:
             raise ConfigError("schedule.sigma_sq must be >= 0")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
         if self.grid is not None:
             self.grid = tuple(float(v) for v in self.grid)
-            if any(v <= 0 for v in self.grid):
-                raise ConfigError("grid entries must be positive")
+            if not self.grid or any(v <= 0 for v in self.grid):
+                raise ConfigError("grid must be nonempty with positive entries")
             if kind is not ScheduleKind.CONSTANT:
                 raise ConfigError("a grid implies a constant schedule")
         if kind is ScheduleKind.CONSTANT and self.grid is None \
@@ -150,20 +145,9 @@ class ExperimentConfig:
             raise ConfigError("constant schedule needs lr (or a grid)")
         if self.reference not in ("auto", "closed-form", "solve", "none"):
             raise ConfigError(f"unknown reference mode {self.reference!r}")
-        for regime in self.bounds:
-            try:
-                regime = ScheduleKind(regime)
-            except ValueError:
-                raise ConfigError(f"unknown bound regime {regime!r}") from None
-            if regime is ScheduleKind.CONSTANT:
-                raise ConfigError("constant steps have no bound to report")
-        if self.bounds and self.epochs < 2:
-            raise ConfigError("bound reports need epochs >= 2")
-        if self.rate_epochs is not None:
-            self.rate_epochs = tuple(int(T) for T in self.rate_epochs)
-            if self.rate_epochs and (len(set(self.rate_epochs)) != len(self.rate_epochs)
-                                     or len(self.rate_epochs) < 3):
-                raise ConfigError("rate_epochs needs at least 3 distinct horizons")
+        if self.rate_epochs and (len(set(self.rate_epochs)) != len(self.rate_epochs)
+                                 or len(self.rate_epochs) < 3):
+            raise ConfigError("rate_epochs needs at least 3 distinct horizons")
         ds_kind = self.dataset.get("kind")
         if ds_kind not in ("quadratic", "libsvm"):
             raise ConfigError(f"unknown dataset kind {ds_kind!r}")
@@ -175,12 +159,6 @@ class ExperimentConfig:
                 raise ConfigError("libsvm objective must be logistic or softmax")
             if self.reference == "closed-form":
                 raise ConfigError("closed-form reference only exists for quadratic datasets")
-        if self.x0 is not None and not all(math.isfinite(v) for v in self.x0):
-            raise ConfigError("x0 must be finite")
-        if self.with_replacement and self.optimizer != "sgd":
-            raise ConfigError("with_replacement only applies to sgd")
-        if self.record_dispersion and self.optimizer == "nag":
-            raise ConfigError("record_dispersion is not defined for nag, which has no sweep")
         if self.label is None:
             self.label = f"{self.optimizer}-{self.scheme}-{kind.value}"
 
@@ -315,21 +293,6 @@ def _mean_ci(series: list[list[float]]):
     return mean.tolist(), (mean - half).tolist(), (mean + half).tolist()
 
 
-def _check_against_objective(config: ExperimentConfig, objective, ref):
-    """Rejects what only the built objective can show to be wrong, before
-    any run writes an artifact."""
-    if config.batch_size > objective.n:
-        raise ConfigError(f"batch_size {config.batch_size} exceeds the objective's "
-                          f"{objective.n} components")
-    if config.x0 is not None and len(config.x0) != objective.dim:
-        raise ConfigError(f"x0 has {len(config.x0)} entries but the objective has "
-                          f"dimension {objective.dim}")
-    if ref is None and config.bounds:
-        raise ConfigError("bound reports need a reference (minimizer oracle)")
-    if ref is None and config.rate_epochs:
-        raise ConfigError("rate fitting needs a reference (minimizer oracle)")
-
-
 def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
     """Build, run, then write the experiment's artifacts.
 
@@ -341,27 +304,41 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
     aborting; an exception before the summary is built leaves nothing written.
     """
     out = Path(out_dir if out_dir is not None else (config.out or "results"))
+    # build: every lower layer checks the config against its own rules here,
+    # before any run, and a rejection (or a dataset that cannot be read)
+    # becomes a ConfigError
     try:
         objective, ref = build_objective(config)
         rates = config.grid if config.grid is not None else (config.schedule.get("lr"),)
         schedules = {(lr, T): _make_schedule(config, objective, lr, T) for lr in rates
                      for T in (config.epochs, *(config.rate_epochs or ()))}
-    except ValueError as err:
+        options = TraceOptions(record_accuracy=config.record_accuracy,
+                               record_dispersion=config.record_dispersion)
+        x0 = start_point(config.optimizer, objective, config.batch_size, config.x0, options,
+                         config.with_replacement)
+        if ref is None and config.bounds:
+            raise ConfigError("bound reports need a reference (minimizer oracle)")
+        if ref is None and config.rate_epochs:
+            raise ConfigError("rate fitting needs a reference (minimizer oracle)")
+        f_star = reference_info = constants = None
+        bounds = []  # (regime, bound at T = epochs) per requested regime
+        if ref is not None:
+            x_star, f_star = ref
+            reference_info = {
+                "f_star": f_star,
+                "sigma_star_sq": variance_at_point(objective, x_star),
+                "delta": float(np.sum((x0 - x_star) ** 2)),
+            }
+        if config.bounds:
+            L = objective.smoothness_bound()
+            constants = {"L": L, "n": objective.n, **reference_info}
+            sigma_sq = float(config.schedule.get("sigma_sq", reference_info["sigma_star_sq"]))
+            bounds = [(regime, convergence_bound(
+                regime, config.epochs, L=L, sigma_star_sq=reference_info["sigma_star_sq"],
+                delta=reference_info["delta"], theta=float(config.schedule.get("theta", 0.0)),
+                sigma_sq=sigma_sq, n=objective.n)) for regime in config.bounds]
+    except (OSError, ValueError) as err:
         raise ConfigError(str(err)) from err
-    _check_against_objective(config, objective, ref)
-    options = TraceOptions(record_accuracy=config.record_accuracy,
-                           record_dispersion=config.record_dispersion)
-
-    x0 = np.zeros(objective.dim) if config.x0 is None else np.array(config.x0, float)
-    f_star = None
-    reference_info = None
-    if ref is not None:
-        x_star, f_star = ref
-        reference_info = {
-            "f_star": f_star,
-            "sigma_star_sq": variance_at_point(objective, x_star),
-            "delta": float(np.sum((x0 - x_star) ** 2)),
-        }
 
     table = {}
     artifacts = {}  # relative path -> text
@@ -420,7 +397,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
     if config.record_accuracy and completed and completed[0][0].accuracy is not None:
         acc_mean, acc_lo, acc_hi = _mean_ci([[r.accuracy for r in t] for t in completed])
 
-    bounds = _bound_reports(config, objective, reference_info, per_seed)
+    bound_reports = [_bound_report(regime, bound, config.epochs, constants, per_seed)
+                     for regime, bound in bounds]
     rate = None
     if config.rate_epochs:
         gaps = []
@@ -430,7 +408,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
                 if bad is not None:
                     raise HarnessError(f"rate sweep diverged at T={T}, seed={seed}")
             gaps.append(sum(result.final_value - f_star for result, _ in runs) / len(runs))
-        fit = fit_rate(zip(config.rate_epochs, gaps))
+        try:
+            fit = fit_rate(zip(config.rate_epochs, gaps))
+        except ValueError as err:
+            raise HarnessError(f"rate fit failed: {err}") from err
         rate = {"epochs": list(config.rate_epochs), "mean_gaps": gaps,
                 "slope": fit.slope, "intercept": fit.intercept}
 
@@ -438,7 +419,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
                          value_mean=value_mean, value_ci_low=value_lo, value_ci_high=value_hi,
                          gap_mean=gap_mean, gap_ci_low=gap_lo, gap_ci_high=gap_hi,
                          accuracy_mean=acc_mean, accuracy_ci_low=acc_lo, accuracy_ci_high=acc_hi,
-                         grid=grid_rows, selected_lr=selected_lr, bounds=bounds, rate=rate,
+                         grid=grid_rows, selected_lr=selected_lr, bounds=bound_reports, rate=rate,
                          reference=reference_info, degraded=degraded)
     artifacts["summary.json"] = json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n"
     for path, text in artifacts.items():
@@ -446,32 +427,15 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
     return summary
 
 
-def _bound_reports(config, objective, reference_info, per_seed) -> list:
-    if not config.bounds:
-        return []
-    L = objective.smoothness_bound()
-    constants = {"L": L, "n": objective.n, **reference_info}
-    theta = float(config.schedule.get("theta", 0.0))
-    sigma_sq = config.schedule.get("sigma_sq")
-    reports = []
-    for regime in config.bounds:
-        bound = convergence_bound(
-            regime, config.epochs, L=L,
-            sigma_star_sq=reference_info["sigma_star_sq"],
-            delta=reference_info["delta"], theta=theta,
-            sigma_sq=float(sigma_sq) if sigma_sq is not None
-            else reference_info["sigma_star_sq"],
-            n=objective.n)
-        report = BoundReport(regime=str(regime), constants=constants)
-        complete = [e for e in per_seed if e["final_gap"] is not None
-                    and e["epochs_completed"] == config.epochs]
-        for entry in complete:
-            report.add(config.epochs, entry["final_gap"], bound, seed=entry["seed"])
-        if complete:
-            mean_gap = sum(e["final_gap"] for e in complete) / len(complete)
-            report.add(config.epochs, mean_gap, bound, seed=None)
-        reports.append(report.to_dict())
-    return reports
+def _bound_report(regime: str, bound: float, T: int, constants: dict, per_seed) -> dict:
+    """Each completed seed's final gap, then their mean, against the bound."""
+    gaps = [(e["seed"], e["final_gap"]) for e in per_seed if not e["diverged"]]
+    if gaps:
+        gaps.append((None, sum(gap for _, gap in gaps) / len(gaps)))
+    rows = [{"T": T, "seed": seed, "gap": gap, "bound": bound, "satisfied": bool(gap <= bound)}
+            for seed, gap in gaps]
+    return {"regime": regime, "constants": dict(constants), "rows": rows,
+            "satisfied": all(row["satisfied"] for row in rows)}
 
 
 def emit_plot_data(summaries, path, metric: str = "value"):

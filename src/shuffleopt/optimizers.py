@@ -31,14 +31,13 @@ reports the epoch in which it first appeared.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diagnostics import epoch_dispersion
-from .schedules import ScheduleKind, ScheduleSpec, epoch_step_size
-from .shuffling import SchemeKind, ShufflingScheme, generate_permutation, uniform_indices
+from .schedules import ScheduleSpec, epoch_step_size
+from .shuffling import ShufflingScheme, generate_permutation, uniform_indices
 
 OPTIMIZERS = ("nasg", "nasg-pi", "nag", "sgd", "sgdm", "adam")
 
@@ -56,14 +55,12 @@ class EpochTrace:
 
     `value` and `grad_sq_norm` are evaluated at the epoch's convergence
     iterate (x-tilde for the Nesterov family, w for the baselines).
-    `wall_time` is kept in memory only and never serialized.
     """
 
     epoch: int
     value: float
     grad_sq_norm: float
     step_size: float
-    wall_time: float
     accuracy: float | None = None
     disp_start: float | None = None
     disp_end: float | None = None
@@ -91,12 +88,33 @@ class RunResult:
         return self.trace[-1].value
 
 
-def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, T: int | None = None,
-        seed: int = 0, batch_size: int = 1, x0=None,
-        options: TraceOptions | None = None, *, sgdm_beta: float = 0.9,
-        adam_beta1: float = 0.9, adam_beta2: float = 0.999, adam_eps: float = 1e-8,
-        with_replacement: bool = False) -> RunResult:
-    """Run `optimizer` for T epochs; deterministic given all arguments.
+def start_point(optimizer: str, objective, batch_size: int, x0, options: TraceOptions,
+                with_replacement: bool) -> np.ndarray:
+    """Check `run`'s arguments against the objective and return the float64
+    start point (zeros unless `x0` is given)."""
+    if optimizer not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {optimizer!r}")
+    if not 1 <= batch_size <= objective.n:
+        raise ValueError(f"batch_size must be in [1, {objective.n}]")
+    if with_replacement and optimizer != "sgd":
+        raise ValueError("with_replacement only applies to sgd")
+    if (options.record_inner or options.record_dispersion) and optimizer == "nag":
+        raise ValueError("inner-iterate recording is not defined for nag")
+    dim = objective.dim
+    x = np.zeros(dim) if x0 is None else np.array(x0, dtype=np.float64)
+    if x.shape != (dim,):
+        raise ValueError(f"x0 must have shape ({dim},)")
+    if not np.isfinite(x).all():
+        raise ValueError("x0 must be finite")
+    return x
+
+
+def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0,
+        batch_size: int = 1, x0=None, options: TraceOptions | None = None, *,
+        sgdm_beta: float = 0.9, adam_beta1: float = 0.9, adam_beta2: float = 0.999,
+        adam_eps: float = 1e-8, with_replacement: bool = False) -> RunResult:
+    """Run `optimizer` for the schedule's T epochs; deterministic given all
+    arguments.
 
     `scheme` is a SchemeKind (or its string value); together with `seed` it
     fixes every epoch's permutation.  The convergence iterate is the last
@@ -106,34 +124,15 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, T: int | None
     `with_replacement` swaps the shuffled pass of plain sgd for n i.i.d.
     index draws per epoch.
     """
-    if optimizer not in OPTIMIZERS:
-        raise ValueError(f"unknown optimizer {optimizer!r}")
     options = options or TraceOptions()
-    T = schedule.T if T is None else T
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if schedule.kind is not ScheduleKind.CONSTANT and T > schedule.T:
-        raise ValueError("run horizon exceeds the schedule's T")
-    n = objective.n
-    if not 1 <= batch_size <= n:
-        raise ValueError(f"batch_size must be in [1, {n}]")
-    if with_replacement and optimizer != "sgd":
-        raise ValueError("with_replacement only applies to sgd")
+    x = start_point(optimizer, objective, batch_size, x0, options, with_replacement)
+    scheme = ShufflingScheme(scheme, seed)
+    n, dim, T = objective.n, objective.dim, schedule.T
     need_inner = options.record_inner or options.record_dispersion
-    if need_inner and optimizer == "nag":
-        raise ValueError("inner-iterate recording is not defined for nag")
-    if not isinstance(scheme, ShufflingScheme):
-        scheme = ShufflingScheme(SchemeKind(scheme), seed)
 
     # x is the convergence iterate and y the point each sweep starts from;
     # the baselines keep them equal
     nesterov = optimizer in ("nasg", "nasg-pi", "nag")
-    dim = objective.dim
-    x = np.zeros(dim) if x0 is None else np.array(x0, dtype=np.float64)
-    if x.shape != (dim,):
-        raise ValueError(f"x0 must have shape ({dim},)")
-    if not np.isfinite(x).all():
-        raise ValueError("x0 must be finite")
     y = x.copy()
     m = np.zeros(dim)  # sgdm velocity, adam first moment
     v = np.zeros(dim)  # adam second moment
@@ -154,7 +153,6 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, T: int | None
             order = uniform_indices(scheme.base_seed, t, n, n)
         else:
             order = generate_permutation(scheme, n, t)
-        started = time.perf_counter()
         # let overflow produce inf/nan silently; the end-of-sweep check below
         # catches it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -201,11 +199,10 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, T: int | None
                 x, y = z, z + gamma * (z - x)
             else:
                 x = y = z
-            elapsed = time.perf_counter() - started
 
             g = objective.full_gradient(x)
             row = EpochTrace(epoch=t, value=objective.full_value(x),
-                             grad_sq_norm=float(g @ g), step_size=eta, wall_time=elapsed)
+                             grad_sq_norm=float(g @ g), step_size=eta)
             if options.record_accuracy:
                 row.accuracy = objective.accuracy(x)
             if options.record_dispersion:

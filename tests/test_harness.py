@@ -311,6 +311,16 @@ BAD_CONFIGS = {
     "dispersion-with-nag": {"optimizer": "nag", "record_dispersion": True},
     "constant-bound": {"bounds": ["constant"]},
     "two-rate-horizons": {"rate_epochs": [4, 8]},
+    "empty-grid": {"grid": []},
+    "missing-libsvm-file": {"dataset": {"kind": "libsvm",
+                                        "path": str(FIXTURES / "no_such_file.libsvm")}},
+    "fractional-seeds": {"seeds": [1.5, 2.9]},
+    "fractional-rate-epochs": {"rate_epochs": [4.7, 8, 16]},
+    "zero-epochs": {"epochs": 0},
+    "zero-batch-size": {"batch_size": 0},
+    "unknown-bound-regime": {"bounds": ["thm9"]},
+    "constant-one-epoch-bound": {"schedule": {"kind": "constant", "lr": 0.1}, "epochs": 1,
+                                 "bounds": ["thm1"]},
 }
 BAD_FLAGS = {"theta-without-thm2": ["--theta", "0.5"]}
 
@@ -332,6 +342,11 @@ RUNTIME_FAILURES = {
     "every-grid-rate-diverges": {"dataset": {"kind": "quadratic", "n": 20, "d": 4, "seed": 3},
                                  "optimizer": "sgd", "grid": [40.0, 30.0], "epochs": 15,
                                  "seeds": [1]},
+    "rate-fit-on-zero-gap": {"dataset": {"kind": "quadratic", "n": 1, "d": 2, "seed": 0,
+                                         "spread": 0.0},
+                             "optimizer": "sgd", "scheme": "ig",
+                             "schedule": {"kind": "constant", "lr": 0.1}, "epochs": 2,
+                             "seeds": [1], "rate_epochs": [2, 4, 8]},
 }
 
 

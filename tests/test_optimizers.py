@@ -331,8 +331,6 @@ def test_run_validation():
         run("newton", obj, "rr", sched)
     with pytest.raises(ValueError, match="batch_size"):
         run("sgd", obj, "rr", sched, batch_size=9)
-    with pytest.raises(ValueError, match="horizon"):
-        run("nasg", obj, "rr", ScheduleSpec(ScheduleKind.UNIFIED, T=4, L=1.0), T=5)
     with pytest.raises(ValueError, match="finite"):
         run("sgd", obj, "rr", sched, x0=np.array([np.nan, 0.0]))
 
