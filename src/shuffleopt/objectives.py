@@ -56,6 +56,10 @@ class Objective(abc.ABC):
         g /= len(ids)
         return g
 
+    def step(self, z: np.ndarray, ids, scale: float) -> None:
+        """In place: z -= scale * batch_mean_gradient(z, ids)."""
+        z -= scale * self.batch_mean_gradient(z, ids)
+
     def accuracy(self, w: np.ndarray) -> float | None:
         """Training accuracy where defined; None for regression-style sums."""
         return None
@@ -95,19 +99,46 @@ class LogisticObjective(Objective):
     def component_gradient(self, w, i):
         return self.batch_mean_gradient(w, (i,))
 
-    def batch_mean_gradient(self, w, ids):
+    def _row_gradient(self, w, i):
+        """Row i's columns and its component gradient on them."""
         data = self.data
+        lo, hi = data.indptr[i], data.indptr[i + 1]
+        idx = data.indices[lo:hi]
+        val = data.values[lo:hi]
+        y = data.labels[i]
+        z = y * float(val @ w[idx])
+        # sigmoid(-z), overflow-safe
+        return idx, (-y * float(np.exp(-np.logaddexp(0.0, z)))) * val
+
+    def batch_mean_gradient(self, w, ids):
         g = np.zeros(self.dim)
         for i in ids:
-            lo, hi = data.indptr[i], data.indptr[i + 1]
-            idx = data.indices[lo:hi]
-            val = data.values[lo:hi]
-            y = data.labels[i]
-            z = y * float(val @ w[idx])
-            # sigmoid(-z), overflow-safe
-            g[idx] += (-y * float(np.exp(-np.logaddexp(0.0, z)))) * val
+            idx, grad = self._row_gradient(w, i)
+            g[idx] += grad
         g /= len(ids)
         return g
+
+    def step(self, z, ids, scale):
+        """The dense update's arithmetic on the batch's columns only, so a
+        step costs O(nnz) instead of O(dim).
+
+        Row gradients are all taken at the un-updated z and summed per column
+        in row order from +0.0, as in `batch_mean_gradient`; every other
+        column would get z - scale * 0.0, which is z for a finite scale >= 0.
+        """
+        rows = [self._row_gradient(z, i) for i in ids]
+        if len(rows) == 1:
+            cols, total = rows[0]
+            total += 0.0  # 0.0 + (-0.0) is +0.0, as in the zeroed dense buffer
+        else:
+            # CSR columns are unique within a row, but rows may share columns
+            # and a with-replacement batch may repeat an id
+            cols, slot = np.unique(np.concatenate([idx for idx, _ in rows]),
+                                   return_inverse=True)
+            total = np.zeros(cols.size)
+            np.add.at(total, slot, np.concatenate([grad for _, grad in rows]))
+        total /= len(ids)
+        z[cols] -= scale * total
 
     def full_value(self, w):
         margins = self.data.labels * self._scores(w)

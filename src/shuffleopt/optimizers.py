@@ -19,9 +19,13 @@ only in that rule and in what becomes of the end point:
 
 Here g is the mean gradient of the batch.  A batch is a contiguous block of
 the epoch's permutation and all of its gradients are evaluated at the same
-inner iterate.  The nasg family applies batches with per-component step
-eta_t/n, so batch size 1 recovers the per-sample sweep exactly and batch size
-n recovers one full-gradient step of size eta_t.
+inner iterate.  The updates of the form "point minus scale times g" (nasg,
+nasg-pi, sgd) go through `objective.step`, which applies them in place and,
+on row data, touches only the batch's columns; sgdm and adam take g from
+`batch_mean_gradient` and update their moments in place.  The nasg family
+applies batches with per-component step eta_t/n, so batch size 1 recovers the
+per-sample sweep exactly and batch size n recovers one full-gradient step of
+size eta_t.
 
 Divergence (a non-finite iterate) is a first-class outcome: `run`
 raises DivergenceError carrying the partial trace instead of crashing.  A
@@ -101,7 +105,10 @@ def start_point(optimizer: str, objective, batch_size: int, x0, options: TraceOp
     if (options.record_inner or options.record_dispersion) and optimizer == "nag":
         raise ValueError("inner-iterate recording is not defined for nag")
     dim = objective.dim
-    x = np.zeros(dim) if x0 is None else np.array(x0, dtype=np.float64)
+    try:
+        x = np.zeros(dim) if x0 is None else np.array(x0, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError("x0 must be finite") from None
     if x.shape != (dim,):
         raise ValueError(f"x0 must have shape ({dim},)")
     if not np.isfinite(x).all():
@@ -136,6 +143,7 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
     y = x.copy()
     m = np.zeros(dim)  # sgdm velocity, adam first moment
     v = np.zeros(dim)  # adam second moment
+    buf = np.empty(dim)  # adam's scratch
     step = 0           # adam bias-correction counter, runs across epochs
 
     trace: list[EpochTrace] = []
@@ -166,25 +174,38 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
                     inner = [z.copy()]
                 for start in range(0, n, batch_size):
                     ids = order[start:start + batch_size]
-                    g = objective.batch_mean_gradient(z, ids)
                     if optimizer == "nasg":
-                        z -= (eta / n * len(ids)) * g
+                        objective.step(z, ids, eta / n * len(ids))
                     elif optimizer == "nasg-pi":
-                        x_new = z - (eta / n * len(ids)) * g
+                        x_new = z.copy()
+                        objective.step(x_new, ids, eta / n * len(ids))
                         z = x_new + gamma * (x_new - x_step)
                         x_step = x_new
                     elif optimizer == "sgd":
-                        z -= eta * g
-                    elif optimizer == "sgdm":
-                        m = sgdm_beta * m + g
-                        z -= eta * m
+                        objective.step(z, ids, eta)
                     else:
-                        step += 1
-                        m = adam_beta1 * m + (1.0 - adam_beta1) * g
-                        v = adam_beta2 * v + (1.0 - adam_beta2) * g * g
-                        m_hat = m / (1.0 - adam_beta1 ** step)
-                        v_hat = v / (1.0 - adam_beta2 ** step)
-                        z -= eta * m_hat / (np.sqrt(v_hat) + adam_eps)
+                        # the moments update in place; g, no longer needed,
+                        # ends up holding the step
+                        g = objective.batch_mean_gradient(z, ids)
+                        if optimizer == "sgdm":
+                            m *= sgdm_beta
+                            m += g
+                            np.multiply(m, eta, out=g)
+                        else:
+                            step += 1
+                            m *= adam_beta1
+                            m += np.multiply(g, 1.0 - adam_beta1, out=buf)
+                            v *= adam_beta2
+                            np.multiply(g, 1.0 - adam_beta2, out=buf)
+                            buf *= g
+                            v += buf
+                            np.divide(v, 1.0 - adam_beta2 ** step, out=buf)
+                            np.sqrt(buf, out=buf)
+                            buf += adam_eps
+                            np.divide(m, 1.0 - adam_beta1 ** step, out=g)
+                            g *= eta
+                            g /= buf
+                        z -= g
                     if need_inner:
                         inner.append(z.copy())
                 if need_inner:

@@ -307,6 +307,7 @@ BAD_CONFIGS = {
     "malformed-libsvm": {"dataset": {"kind": "libsvm",
                                      "path": str(FIXTURES / "malformed" / "bad_label.libsvm")}},
     "x0-nan": {"dataset": {"kind": "quadratic", "n": 5, "d": 2}, "x0": [float("nan"), 0.0]},
+    "x0-overflow": {"dataset": {"kind": "quadratic", "n": 5, "d": 2}, "x0": [10**400, 0]},
     "replacement-with-nasg": {"with_replacement": True},
     "dispersion-with-nag": {"optimizer": "nag", "record_dispersion": True},
     "constant-bound": {"bounds": ["constant"]},

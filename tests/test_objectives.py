@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from shuffleopt.data import Dataset
+from shuffleopt.data import Dataset, load_libsvm
 from shuffleopt.objectives import (LogisticObjective, QuadraticObjective,
                                    ReferenceSolveError, SoftmaxObjective,
                                    make_quadratic, solve_reference, variance_at_point)
@@ -218,6 +218,52 @@ def test_smoothness_witness(obj):
         i = int(RNG.integers(obj.n))
         lhs = np.linalg.norm(obj.component_gradient(x, i) - obj.component_gradient(y, i))
         assert lhs <= L * np.linalg.norm(x - y) + 1e-10
+
+
+# ---------------------------------------------------------- in-place step
+
+def step_points(dim, seed=7):
+    """A finite point holding -0.0 entries, and the same point with inf and
+    nan entries as well."""
+    z = np.random.default_rng(seed).normal(size=dim)
+    z[1::2] = -0.0
+    wild = z.copy()
+    wild[0::6] = np.nan
+    wild[2::6] = np.inf
+    wild[4::6] = -np.inf
+    return [z, wild]
+
+
+def step_batches(n):
+    """One row, three rows, a batch that repeats an id, and all n rows."""
+    order = np.random.default_rng(n).permutation(n)
+    return [order[:1], order[:3], np.array([order[0], order[-1], order[0]]), order]
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def assert_step_is_dense_update(obj):
+    for z in step_points(obj.dim):
+        for ids in step_batches(obj.n):
+            for scale in (0.5, 3.0):
+                expected = z - scale * obj.batch_mean_gradient(z, ids)
+                got = z.copy()
+                assert obj.step(got, ids, scale) is None
+                assert got.tobytes() == expected.tobytes(), (ids, scale)
+
+
+@pytest.mark.parametrize("name", ["blobs600.libsvm", "wide_sparse.libsvm",
+                                  "explicit_zero.libsvm"])
+def test_logistic_step_equals_dense_update_bitwise(fixtures_dir, name):
+    # blobs600 rows share every column; explicit_zero's stored 0.0 makes a
+    # -0.0 gradient entry on a column where z holds -0.0
+    assert_step_is_dense_update(LogisticObjective(load_libsvm(fixtures_dir / name)))
+
+
+@pytest.mark.parametrize("obj", [SoftmaxObjective(multiclass_dataset()),
+                                 make_quadratic(10, 4, seed=3)[0]],
+                         ids=["softmax", "quadratic"])
+def test_fallback_step_equals_dense_update_bitwise(obj):
+    assert_step_is_dense_update(obj)
 
 
 # ---------------------------------------------------------- reference solve
