@@ -126,18 +126,20 @@ class LogisticObjective(Objective):
         in row order from +0.0, as in `batch_mean_gradient`; every other
         column would get z - scale * 0.0, which is z for a finite scale >= 0.
         """
-        rows = [self._row_gradient(z, i) for i in ids]
-        if len(rows) == 1:
-            cols, total = rows[0]
-            total += 0.0  # 0.0 + (-0.0) is +0.0, as in the zeroed dense buffer
+        if len(ids) == 1:
+            cols, total = self._row_gradient(z, ids[0])
+            # 0.0 + (-0.0) is +0.0, as in the zeroed dense buffer; the dense
+            # division by 1 is exact
+            total += 0.0
         else:
+            rows = [self._row_gradient(z, i) for i in ids]
             # CSR columns are unique within a row, but rows may share columns
             # and a with-replacement batch may repeat an id
             cols, slot = np.unique(np.concatenate([idx for idx, _ in rows]),
                                    return_inverse=True)
             total = np.zeros(cols.size)
             np.add.at(total, slot, np.concatenate([grad for _, grad in rows]))
-        total /= len(ids)
+            total /= len(ids)
         z[cols] -= scale * total
 
     def full_value(self, w):
