@@ -119,28 +119,22 @@ class LogisticObjective(Objective):
         return g
 
     def step(self, z, ids, scale):
-        """The dense update's arithmetic on the batch's columns only, so a
-        step costs O(nnz) instead of O(dim).
+        """A single-row step touches only the row's columns, so it costs
+        O(nnz) instead of O(dim); a batch of several rows takes the dense
+        update.
 
-        Row gradients are all taken at the un-updated z and summed per column
-        in row order from +0.0, as in `batch_mean_gradient`; every other
-        column would get z - scale * 0.0, which is z for a finite scale >= 0.
+        The row's gradient is taken at the un-updated z and added to +0.0, as
+        in `batch_mean_gradient`; every other column would get
+        z - scale * 0.0, which is z for a finite scale >= 0.
         """
-        if len(ids) == 1:
-            cols, total = self._row_gradient(z, ids[0])
-            # 0.0 + (-0.0) is +0.0, as in the zeroed dense buffer; the dense
-            # division by 1 is exact
-            total += 0.0
-        else:
-            rows = [self._row_gradient(z, i) for i in ids]
-            # CSR columns are unique within a row, but rows may share columns
-            # and a with-replacement batch may repeat an id
-            cols, slot = np.unique(np.concatenate([idx for idx, _ in rows]),
-                                   return_inverse=True)
-            total = np.zeros(cols.size)
-            np.add.at(total, slot, np.concatenate([grad for _, grad in rows]))
-            total /= len(ids)
-        z[cols] -= scale * total
+        if len(ids) > 1:
+            super().step(z, ids, scale)
+            return
+        cols, grad = self._row_gradient(z, ids[0])
+        # 0.0 + (-0.0) is +0.0, as in the zeroed dense buffer; the dense
+        # division by 1 is exact
+        grad += 0.0
+        z[cols] -= scale * grad
 
     def full_value(self, w):
         margins = self.data.labels * self._scores(w)
