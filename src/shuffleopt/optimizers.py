@@ -21,11 +21,11 @@ Here g is the mean gradient of the batch.  A batch is a contiguous block of
 the epoch's permutation and all of its gradients are evaluated at the same
 inner iterate.  The updates of the form "point minus scale times g" (nasg,
 nasg-pi, sgd) go through `objective.step`, which applies them in place and,
-on row data, touches only the batch's columns; sgdm and adam take g from
-`batch_mean_gradient` and update their moments in place.  The nasg family
-applies batches with per-component step eta_t/n, so batch size 1 recovers the
-per-sample sweep exactly and batch size n recovers one full-gradient step of
-size eta_t.
+on row data at batch size 1, touches only the row's columns; sgdm and adam
+take g from `batch_mean_gradient` and update their moments in place.  The
+nasg family applies batches with per-component step eta_t/n, so batch size 1
+recovers the per-sample sweep exactly and batch size n recovers one
+full-gradient step of size eta_t.
 
 Divergence (a non-finite iterate) is a first-class outcome: `run`
 raises DivergenceError carrying the partial trace instead of crashing.  A
@@ -184,21 +184,25 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
                     elif optimizer == "sgd":
                         objective.step(z, ids, eta)
                     else:
-                        # the moments update in place; g, no longer needed,
-                        # ends up holding the step
+                        # in place, with no dim-sized temporaries; g, no
+                        # longer needed, ends up holding the step
                         g = objective.batch_mean_gradient(z, ids)
                         if optimizer == "sgdm":
+                            # m = beta * m + g;  step eta * m
                             m *= sgdm_beta
                             m += g
                             np.multiply(m, eta, out=g)
                         else:
                             step += 1
+                            # m = beta1 * m + (1 - beta1) * g
                             m *= adam_beta1
                             m += np.multiply(g, 1.0 - adam_beta1, out=buf)
+                            # v = beta2 * v + ((1 - beta2) * g) * g
                             v *= adam_beta2
                             np.multiply(g, 1.0 - adam_beta2, out=buf)
                             buf *= g
                             v += buf
+                            # step (eta * m_hat) / (sqrt(v_hat) + eps)
                             np.divide(v, 1.0 - adam_beta2 ** step, out=buf)
                             np.sqrt(buf, out=buf)
                             buf += adam_eps
