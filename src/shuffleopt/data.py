@@ -8,6 +8,9 @@ Feature indices are 1-based in files, strictly increasing within a line, and
 stored 0-based.  Binary labels may be written as 0/1 or -1/+1 and are mapped
 to -1/+1; multiclass labels must be integers and are re-indexed densely from
 0.  Explicit zero values are kept as written.
+
+`Dataset` owns the row layout: it builds each entry's row id once and computes
+X @ w, X^T @ c and the squared row norms, so no other module reads the layout.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ class Dataset:
         else:
             self.labels = np.asarray(self.labels, dtype=np.int64)
         self._check()
-        for arr in (self.indptr, self.indices, self.values, self.labels):
+        for arr in (self.indptr, self.indices, self.values, self.labels, self._rows):
             arr.setflags(write=False)
 
     def _check(self):
@@ -67,6 +70,8 @@ class Dataset:
             raise ValueError("bad row layout")
         if np.any(np.diff(self.indptr) < 0):
             raise ValueError("bad row layout")
+        # the row id of every stored entry, built once for every product
+        self._rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
         if self.labels.shape != (self.n,):
             raise ValueError("labels length must equal n")
         if self.indices.size:
@@ -74,11 +79,8 @@ class Dataset:
                 raise ValueError("feature index out of range")
             # strictly increasing inside each row; jumps across row
             # boundaries are exempt
-            gaps = np.diff(self.indices)
-            boundary = np.zeros(gaps.size, dtype=bool)
-            starts = self.indptr[1:-1] - 1
-            boundary[starts[(starts >= 0) & (starts < gaps.size)]] = True
-            if np.any((gaps <= 0) & ~boundary):
+            same_row = self._rows[1:] == self._rows[:-1]
+            if np.any((np.diff(self.indices) <= 0) & same_row):
                 raise ValueError("feature indices must be strictly increasing per row")
         if self.c == 1:
             if not np.all(np.isin(self.labels, (-1.0, 1.0))):
@@ -91,10 +93,20 @@ class Dataset:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.values[lo:hi]
 
+    def dot(self, w: np.ndarray) -> np.ndarray:
+        """X @ w: each row's inner product with w."""
+        return np.bincount(self._rows, weights=self.values * w[self.indices], minlength=self.n)
+
+    def tdot(self, coef: np.ndarray) -> np.ndarray:
+        """X^T @ coef: the rows summed with weights coef."""
+        return np.bincount(self.indices, weights=self.values * coef[self._rows], minlength=self.d)
+
+    def row_sq_norms(self) -> np.ndarray:
+        return np.bincount(self._rows, weights=self.values ** 2, minlength=self.n)
+
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.d))
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        out[rows, self.indices] = self.values
+        out[self._rows, self.indices] = self.values
         return out
 
     @classmethod

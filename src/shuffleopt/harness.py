@@ -20,7 +20,7 @@ import json
 import math
 import numbers
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -215,21 +215,19 @@ def build_objective(config: ExperimentConfig):
     """Objective plus (x_star, f_star) when a reference is available."""
     ds = config.dataset
     if ds["kind"] == "quadratic":
-        objective, x_star, f_star = make_quadratic(
-            int(ds.get("n", 50)), int(ds.get("d", 10)),
-            int(ds.get("seed", 7)), float(ds.get("spread", 1.0)))
-        if config.reference == "none":
-            return objective, None
-        return objective, (x_star, f_star)
-    dataset = load_libsvm(ds["path"], mode=ds.get("mode", "auto"),
-                          dim=ds.get("dim"), add_bias=bool(ds.get("add_bias", False)),
-                          scale=bool(ds.get("scale", False)))
-    objective_kind = ds.get("objective", "logistic")
-    objective = LogisticObjective(dataset) if objective_kind == "logistic" \
-        else SoftmaxObjective(dataset)
-    if config.reference == "solve":
-        return objective, solve_reference(objective)
-    return objective, None
+        ds = {**_DEFAULT_DATASET, **ds}
+        objective = make_quadratic(int(ds["n"]), int(ds["d"]), int(ds["seed"]),
+                                   float(ds["spread"]))[0]
+    else:
+        dataset = load_libsvm(ds["path"], mode=ds.get("mode", "auto"),
+                              dim=ds.get("dim"), add_bias=bool(ds.get("add_bias", False)),
+                              scale=bool(ds.get("scale", False)))
+        objective = LogisticObjective(dataset) if ds.get("objective", "logistic") == "logistic" \
+            else SoftmaxObjective(dataset)
+    # "auto" means the closed form, which only quadratics have
+    if config.reference == "none" or (config.reference == "auto" and ds["kind"] != "quadratic"):
+        return objective, None
+    return objective, solve_reference(objective)
 
 
 def _make_schedule(config: ExperimentConfig, objective, lr, T) -> ScheduleSpec:
@@ -244,21 +242,35 @@ def _make_schedule(config: ExperimentConfig, objective, lr, T) -> ScheduleSpec:
     return ScheduleSpec(kind, T, L=L)
 
 
+def _finite(row) -> bool:
+    return all(x is None or math.isfinite(x)
+               for x in (row.value, row.grad_sq_norm, row.disp_start, row.disp_end))
+
+
 def _runs(table: dict, key, config: ExperimentConfig, objective, schedules, options) -> list:
     """The table entry for key = (lr, T): per seed, the result and the epoch of
-    divergence (None if the run completed).  Each entry runs once."""
+    divergence (None if the run completed).  Each entry runs once.
+
+    A seed diverges at its first non-finite iterate or at its first trace row
+    holding a non-finite number (values can overflow while the iterate stays
+    finite), whichever epoch comes first; its trace keeps the rows before it.
+    """
     if key not in table:
         table[key] = []
         for seed in config.seeds:
             try:
-                table[key].append((run(
+                result, bad = run(
                     config.optimizer, objective, config.scheme, schedules[key], seed=seed,
                     batch_size=config.batch_size, x0=config.x0, options=options,
                     sgdm_beta=config.sgdm_beta, adam_beta1=config.adam_beta1,
                     adam_beta2=config.adam_beta2, adam_eps=config.adam_eps,
-                    with_replacement=config.with_replacement), None))
+                    with_replacement=config.with_replacement), None
             except DivergenceError as err:
-                table[key].append((err.partial, err.epoch))
+                result, bad = err.partial, err.epoch
+            k = next((k for k, row in enumerate(result.trace) if not _finite(row)), None)
+            if k is not None:
+                result, bad = replace(result, trace=result.trace[:k]), result.trace[k].epoch
+            table[key].append((result, bad))
     return table[key]
 
 
@@ -324,10 +336,14 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
         bounds = []  # (regime, bound at T = epochs) per requested regime
         if ref is not None:
             x_star, f_star = ref
+            with np.errstate(over="ignore"):
+                delta = float(np.sum((x0 - x_star) ** 2))
+            if not math.isfinite(delta):
+                raise ConfigError("||x0 - x_star||^2 overflows; choose a smaller x0")
             reference_info = {
                 "f_star": f_star,
                 "sigma_star_sq": variance_at_point(objective, x_star),
-                "delta": float(np.sum((x0 - x_star) ** 2)),
+                "delta": delta,
             }
         if config.bounds:
             L = objective.smoothness_bound()
@@ -421,7 +437,11 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
                          accuracy_mean=acc_mean, accuracy_ci_low=acc_lo, accuracy_ci_high=acc_hi,
                          grid=grid_rows, selected_lr=selected_lr, bounds=bound_reports, rate=rate,
                          reference=reference_info, degraded=degraded)
-    artifacts["summary.json"] = json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n"
+    try:
+        artifacts["summary.json"] = json.dumps(summary.to_dict(), indent=2, sort_keys=True,
+                                               allow_nan=False) + "\n"
+    except ValueError as err:  # a non-finite number left in the summary
+        raise HarnessError(f"summary is not valid JSON: {err}") from err
     for path, text in artifacts.items():
         _write_text(out / path, text)
     return summary

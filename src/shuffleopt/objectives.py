@@ -2,7 +2,8 @@
 
 Each objective exposes per-component and full values/gradients plus an
 analytic per-component smoothness constant L (a certified upper bound, not a
-spectral estimate).  Parameter vectors are plain float64 arrays.
+spectral estimate).  Parameter vectors are plain float64 arrays.  The row-data
+objectives hold only their losses; rows and products come from their Dataset.
 """
 
 from __future__ import annotations
@@ -78,18 +79,12 @@ class LogisticObjective(Objective):
         self.data = dataset
         self.n = dataset.n
         self.dim = dataset.d
-        self._rows = np.repeat(np.arange(self.n), np.diff(dataset.indptr))
-        sq = np.bincount(self._rows, weights=dataset.values ** 2, minlength=self.n)
-        self._L = float(sq.max()) / 4.0 if sq.size else 0.0
+        self._L = float(dataset.row_sq_norms().max()) / 4.0
 
     def smoothness_bound(self) -> float:
         if self._L == 0.0:
             raise ValueError("degenerate objective, L=0")
         return self._L
-
-    def _scores(self, w):
-        return np.bincount(self._rows, weights=self.data.values * w[self.data.indices],
-                           minlength=self.n)
 
     def component_value(self, w, i):
         idx, val = self.data.row(i)
@@ -101,11 +96,8 @@ class LogisticObjective(Objective):
 
     def _row_gradient(self, w, i):
         """Row i's columns and its component gradient on them."""
-        data = self.data
-        lo, hi = data.indptr[i], data.indptr[i + 1]
-        idx = data.indices[lo:hi]
-        val = data.values[lo:hi]
-        y = data.labels[i]
+        idx, val = self.data.row(i)
+        y = self.data.labels[i]
         z = y * float(val @ w[idx])
         # sigmoid(-z), overflow-safe
         return idx, (-y * float(np.exp(-np.logaddexp(0.0, z)))) * val
@@ -137,17 +129,16 @@ class LogisticObjective(Objective):
         z[cols] -= scale * grad
 
     def full_value(self, w):
-        margins = self.data.labels * self._scores(w)
+        margins = self.data.labels * self.data.dot(w)
         return float(np.logaddexp(0.0, -margins).mean())
 
     def full_gradient(self, w):
-        margins = self.data.labels * self._scores(w)
+        margins = self.data.labels * self.data.dot(w)
         coef = -self.data.labels * np.exp(-np.logaddexp(0.0, margins)) / self.n
-        return np.bincount(self.data.indices, weights=self.data.values * coef[self._rows],
-                           minlength=self.dim)
+        return self.data.tdot(coef)
 
     def accuracy(self, w):
-        predicted = np.where(self._scores(w) >= 0.0, 1.0, -1.0)
+        predicted = np.where(self.data.dot(w) >= 0.0, 1.0, -1.0)
         return float(np.mean(predicted == self.data.labels))
 
 
@@ -167,9 +158,7 @@ class SoftmaxObjective(Objective):
         self.c = dataset.c
         self.d = dataset.d
         self.dim = self.c * self.d + self.c
-        self._rows = np.repeat(np.arange(self.n), np.diff(dataset.indptr))
-        sq = np.bincount(self._rows, weights=dataset.values ** 2, minlength=self.n)
-        self._L = (float(sq.max()) + 1.0) / 2.0
+        self._L = (float(dataset.row_sq_norms().max()) + 1.0) / 2.0
 
     def smoothness_bound(self) -> float:
         return self._L
@@ -181,8 +170,7 @@ class SoftmaxObjective(Objective):
         W, b = self.unpack(w)
         Z = np.empty((self.n, self.c))
         for k in range(self.c):
-            Z[:, k] = np.bincount(self._rows, weights=self.data.values * W[k][self.data.indices],
-                                  minlength=self.n)
+            Z[:, k] = self.data.dot(W[k])
         return Z + b
 
     def component_value(self, w, i):
@@ -221,8 +209,7 @@ class SoftmaxObjective(Objective):
         g = np.zeros(self.dim)
         G = g[: self.c * self.d].reshape(self.c, self.d)
         for k in range(self.c):
-            G[k] = np.bincount(self.data.indices, weights=self.data.values * P[self._rows, k],
-                               minlength=self.d)
+            G[k] = self.data.tdot(P[:, k])
         g[self.c * self.d:] = P.sum(axis=0)
         return g
 

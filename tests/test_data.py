@@ -148,6 +148,27 @@ def test_dataset_invariant_violations():
         Dataset(n=1, d=1, c=1, indptr=[0, 1], indices=[0], values=[1.0], labels=[2.0])
     with pytest.raises(ValueError, match="labels length"):
         Dataset(n=2, d=1, c=1, indptr=[0, 1, 1], indices=[0], values=[1.0], labels=[1.0])
+    # a repeated index inside a row that follows an empty row
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Dataset(n=2, d=3, c=1, indptr=[0, 0, 2], indices=[1, 1], values=[1.0, 1.0],
+                labels=[1.0, 1.0])
+    # a drop in index across an empty row is a row boundary, not a violation
+    ds = Dataset(n=3, d=3, c=1, indptr=[0, 1, 1, 2], indices=[2, 0], values=[1.0, 1.0],
+                 labels=[1.0, 1.0, 1.0])
+    assert ds.row(2)[0].tolist() == [0]
+
+
+@pytest.mark.parametrize("name", ["no_features_row.libsvm", "explicit_zero.libsvm",
+                                  "wide_sparse.libsvm", "multiclass_3.libsvm"])
+def test_dataset_products_match_dense(fixtures_dir, name):
+    ds = load_libsvm(fixtures_dir / name)
+    X = ds.to_dense()
+    rng = np.random.default_rng(11)
+    w, coef = rng.normal(size=ds.d), rng.normal(size=ds.n)
+    for got, expected in ((ds.dot(w), X @ w), (ds.tdot(coef), X.T @ coef),
+                          (ds.row_sq_norms(), (X * X).sum(axis=1))):
+        assert got.shape == expected.shape
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
 def test_dataset_immutable():

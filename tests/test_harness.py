@@ -322,6 +322,7 @@ BAD_CONFIGS = {
     "unknown-bound-regime": {"bounds": ["thm9"]},
     "constant-one-epoch-bound": {"schedule": {"kind": "constant", "lr": 0.1}, "epochs": 1,
                                  "bounds": ["thm1"]},
+    "delta-overflow": {"x0": [1e200] + [0.0] * 9},
 }
 BAD_FLAGS = {"theta-without-thm2": ["--theta", "0.5"]}
 
@@ -357,5 +358,37 @@ def test_cli_runtime_failure_writes_nothing(tmp_path, capsys, probe):
     config_path.write_text(json.dumps(RUNTIME_FAILURES[probe]))
     out = tmp_path / "results"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_values_count_as_divergence(tmp_path, capsys):
+    # the iterate stays finite while the trace values overflow to inf
+    config = {"dataset": {"kind": "quadratic", "n": 20, "d": 4, "seed": 3}, "optimizer": "sgd",
+              "scheme": "rr", "schedule": {"kind": "constant", "lr": 3.0}, "epochs": 40,
+              "seeds": [1, 2, 3]}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    assert "degraded" in capsys.readouterr().err
+    summary = _strict_json((out / "summary.json").read_text())
+    assert [(e["diverged_at_epoch"], e["epochs_completed"]) for e in summary["per_seed"]] \
+        == [(26, 25)] * 3
+    for seed in config["seeds"]:
+        assert "inf" not in (out / "runs" / f"seed{seed}.csv").read_text()
+
+
+def test_non_finite_summary_is_a_runtime_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "variance_at_point", lambda objective, w: float("inf"))
+    out = tmp_path / "results"
+    assert main(["run", "--epochs", "2", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
