@@ -9,8 +9,9 @@ stored 0-based.  Binary labels may be written as 0/1 or -1/+1 and are mapped
 to -1/+1; multiclass labels must be integers and are re-indexed densely from
 0.  Explicit zero values are kept as written.
 
-`Dataset` owns the row layout: it builds each entry's row id once and computes
-X @ w, X^T @ c and the squared row norms, so no other module reads the layout.
+`Dataset` owns the row layout: it builds each entry's row id and each row's
+(columns, values) views once, and computes X @ w, X^T @ c and the squared row
+norms, so no other module reads the layout.
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ class Dataset:
         self._check()
         for arr in (self.indptr, self.indices, self.values, self.labels, self._rows):
             arr.setflags(write=False)
+        # built once, so `row` does no numpy indexing
+        bounds = self.indptr.tolist()
+        self._row_views = [(self.indices[lo:hi], self.values[lo:hi])
+                           for lo, hi in zip(bounds, bounds[1:])]
 
     def _check(self):
         if self.n < 1:
@@ -90,8 +95,8 @@ class Dataset:
                 raise ValueError("class ids must lie in [0, c)")
 
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.indices[lo:hi], self.values[lo:hi]
+        """Row i's column ids and values, as read-only views."""
+        return self._row_views[i]
 
     def dot(self, w: np.ndarray) -> np.ndarray:
         """X @ w: each row's inner product with w."""

@@ -9,6 +9,7 @@ objectives hold only their losses; rows and products come from their Dataset.
 from __future__ import annotations
 
 import abc
+import math
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from .data import Dataset
 from .prng import derive_key, standard_normals
 
 _CENTERS_TAG = 0x63656E7465727301
+_LOG2 = math.log(2.0)
 
 
 class ReferenceSolveError(RuntimeError):
@@ -26,6 +28,19 @@ class ReferenceSolveError(RuntimeError):
         self.value = value
         self.grad_norm = grad_norm
         self.iterations = iterations
+
+
+def _logaddexp0(z: float) -> float:
+    """log(1 + exp(z)) of a float z, branch for branch as numpy's scalar
+    np.logaddexp(0.0, z); both call libm's exp and log1p, so they agree
+    bitwise."""
+    if z == 0.0:
+        return _LOG2
+    if z < 0.0:
+        return 0.0 + math.log1p(math.exp(z))
+    if z > 0.0:
+        return z + math.log1p(math.exp(-z))
+    return 0.0 - z  # nan
 
 
 class Objective(abc.ABC):
@@ -50,7 +65,8 @@ class Objective(abc.ABC):
     def smoothness_bound(self) -> float: ...
 
     def batch_mean_gradient(self, w: np.ndarray, ids) -> np.ndarray:
-        """Mean component gradient over `ids`, all evaluated at the same w."""
+        """Mean component gradient over `ids` (a list of ints or a 1-D int
+        array), all evaluated at the same w."""
         g = self.component_gradient(w, int(ids[0]))
         for i in ids[1:]:
             g += self.component_gradient(w, int(i))
@@ -58,7 +74,8 @@ class Objective(abc.ABC):
         return g
 
     def step(self, z: np.ndarray, ids, scale: float) -> None:
-        """In place: z -= scale * batch_mean_gradient(z, ids)."""
+        """In place: z -= scale * batch_mean_gradient(z, ids), with `ids` a
+        list of ints or a 1-D int array."""
         z -= scale * self.batch_mean_gradient(z, ids)
 
     def accuracy(self, w: np.ndarray) -> float | None:
@@ -80,6 +97,7 @@ class LogisticObjective(Objective):
         self.n = dataset.n
         self.dim = dataset.d
         self._L = float(dataset.row_sq_norms().max()) / 4.0
+        self._labels = dataset.labels.tolist()
 
     def smoothness_bound(self) -> float:
         if self._L == 0.0:
@@ -87,26 +105,24 @@ class LogisticObjective(Objective):
         return self._L
 
     def component_value(self, w, i):
-        idx, val = self.data.row(i)
-        z = self.data.labels[i] * float(val @ w[idx])
-        return float(np.logaddexp(0.0, -z))
+        cols, vals = self.data.row(i)
+        return _logaddexp0(-(self._labels[i] * float(vals.dot(w[cols]))))
 
     def component_gradient(self, w, i):
         return self.batch_mean_gradient(w, (i,))
 
-    def _row_gradient(self, w, i):
-        """Row i's columns and its component gradient on them."""
-        idx, val = self.data.row(i)
-        y = self.data.labels[i]
-        z = y * float(val @ w[idx])
-        # sigmoid(-z), overflow-safe
-        return idx, (-y * float(np.exp(-np.logaddexp(0.0, z)))) * val
+    def _row_coef(self, i, margin):
+        """Row i's gradient is this coefficient times x_i, where margin is
+        <x_i, w>: -y_i * sigmoid(-y_i * margin), overflow-safe."""
+        y = self._labels[i]
+        # numpy's exp, not math.exp: numpy's SIMD exp can differ in the last bit
+        return -y * float(np.exp(-_logaddexp0(y * float(margin))))
 
     def batch_mean_gradient(self, w, ids):
         g = np.zeros(self.dim)
         for i in ids:
-            idx, grad = self._row_gradient(w, i)
-            g[idx] += grad
+            cols, vals = self.data.row(i)
+            g[cols] += self._row_coef(i, vals.dot(w[cols])) * vals
         g /= len(ids)
         return g
 
@@ -122,11 +138,16 @@ class LogisticObjective(Objective):
         if len(ids) > 1:
             super().step(z, ids, scale)
             return
-        cols, grad = self._row_gradient(z, ids[0])
+        i = ids[0]
+        cols, vals = self.data.row(i)
+        zc = z[cols]
+        grad = self._row_coef(i, vals.dot(zc)) * vals
         # 0.0 + (-0.0) is +0.0, as in the zeroed dense buffer; the dense
         # division by 1 is exact
         grad += 0.0
-        z[cols] -= scale * grad
+        grad *= scale
+        zc -= grad
+        z[cols] = zc
 
     def full_value(self, w):
         margins = self.data.labels * self.data.dot(w)
@@ -240,6 +261,16 @@ class QuadraticObjective(Objective):
 
     def batch_mean_gradient(self, w, ids):
         return w - self.centers[ids].mean(axis=0)
+
+    def step(self, z, ids, scale):
+        """A single-row step skips the batch gather and mean; a batch of
+        several rows takes the dense update."""
+        if len(ids) > 1:
+            super().step(z, ids, scale)
+            return
+        # the one-row mean turns a -0.0 entry into +0.0 and divides by 1
+        # exactly; + 0.0 does the same
+        z -= scale * (z - (self.centers[ids[0]] + 0.0))
 
     def full_value(self, w):
         diffs = w[None, :] - self.centers

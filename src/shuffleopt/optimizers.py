@@ -18,14 +18,16 @@ only in that rule and in what becomes of the end point:
 * ``adam``     bias-corrected adaptive moments, beta1=0.9, beta2=0.999.
 
 Here g is the mean gradient of the batch.  A batch is a contiguous block of
-the epoch's permutation and all of its gradients are evaluated at the same
-inner iterate.  The updates of the form "point minus scale times g" (nasg,
-nasg-pi, sgd) go through `objective.step`, which applies them in place and,
-on row data at batch size 1, touches only the row's columns; sgdm and adam
-take g from `batch_mean_gradient` and update their moments in place.  The
-nasg family applies batches with per-component step eta_t/n, so batch size 1
-recovers the per-sample sweep exactly and batch size n recovers one
-full-gradient step of size eta_t.
+the epoch's permutation, handed to the objective as a list of Python ints,
+and all of its gradients are evaluated at the same inner iterate.  The updates
+of the form "point minus scale times g" (nasg, nasg-pi, sgd) go through
+`objective.step`, which applies them in place; at batch size 1 a row-data step
+touches only the row's columns and a quadratic step skips the batch gather
+and mean.  sgdm and adam take g from `batch_mean_gradient` and update their
+moments in place.  Inner iterates are written into one (blocks + 1, dim)
+array per epoch.  The nasg family applies batches with per-component step
+eta_t/n, so batch size 1 recovers the per-sample sweep exactly and batch size
+n recovers one full-gradient step of size eta_t.
 
 Divergence (a non-finite iterate) is a first-class outcome: `run`
 raises DivergenceError carrying the partial trace instead of crashing.  A
@@ -170,10 +172,15 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
             else:
                 z = y.copy()
                 x_step = x  # nasg-pi's inner x iterate
+                starts = range(0, n, batch_size)
                 if need_inner:
-                    inner = [z.copy()]
-                for start in range(0, n, batch_size):
-                    ids = order[start:start + batch_size]
+                    inner = np.empty((len(starts) + 1, dim))
+                    inner[0] = z
+                # the batches as lists of Python ints, cheaper to index with
+                # than numpy integers
+                perm = order.tolist()
+                for block, start in enumerate(starts, 1):
+                    ids = perm[start:start + batch_size]
                     if optimizer == "nasg":
                         objective.step(z, ids, eta / n * len(ids))
                     elif optimizer == "nasg-pi":
@@ -211,9 +218,7 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
                             g /= buf
                         z -= g
                     if need_inner:
-                        inner.append(z.copy())
-                if need_inner:
-                    inner = np.array(inner)
+                        inner[block] = z
             if not np.isfinite(z).all():
                 raise DivergenceError(f"non-finite iterate in epoch {t}", t,
                                       RunResult(trace, x.copy(), x_snaps, y_snaps,

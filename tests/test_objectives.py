@@ -1,11 +1,12 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from shuffleopt.data import Dataset, load_libsvm
 from shuffleopt.objectives import (LogisticObjective, QuadraticObjective,
-                                   ReferenceSolveError, SoftmaxObjective,
+                                   ReferenceSolveError, SoftmaxObjective, _logaddexp0,
                                    make_quadratic, solve_reference, variance_at_point)
 
 RNG = np.random.default_rng(61803)
@@ -87,6 +88,24 @@ def test_logistic_accuracy():
     obj = LogisticObjective(ds)
     assert obj.accuracy(np.array([1.0])) == 1.0
     assert obj.accuracy(np.array([-1.0])) == 0.0
+
+
+def logaddexp_cases():
+    tiny = float(np.finfo(np.float64).smallest_subnormal)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, tiny, -tiny, 1e3 * tiny,
+               -1e3 * tiny, 709.0, -709.0, 745.0, -745.0, 709.8, -709.8, 745.2, -745.2]
+    rng = np.random.default_rng(2718)
+    draws = [scale * rng.standard_normal(20_000) for scale in (0.1, 1.0, 10.0, 100.0, 300.0)]
+    return special + np.concatenate(draws).tolist()
+
+
+@np.errstate(invalid="ignore")  # numpy flags its comparisons on nan
+def test_logaddexp0_is_numpy_logaddexp_bitwise():
+    for z in logaddexp_cases():
+        expected = float(np.logaddexp(0.0, z))
+        got = _logaddexp0(z)
+        assert type(got) is float
+        assert struct.pack("<d", got) == struct.pack("<d", expected), z
 
 
 # ----------------------------------------------------------------- softmax
@@ -241,14 +260,19 @@ def step_batches(n):
 
 
 @np.errstate(invalid="ignore", over="ignore")
-def assert_step_is_dense_update(obj):
-    for z in step_points(obj.dim):
-        for ids in step_batches(obj.n):
-            for scale in (0.5, 3.0):
-                expected = z - scale * obj.batch_mean_gradient(z, ids)
-                got = z.copy()
-                assert obj.step(got, ids, scale) is None
-                assert got.tobytes() == expected.tobytes(), (ids, scale)
+def assert_step_is_dense_update(obj, points=None):
+    """Every batch, as a numpy array and as the list of Python ints that
+    `run` passes, steps to the dense update of the array form."""
+    for z in step_points(obj.dim) if points is None else points:
+        for batch in step_batches(obj.n):
+            dense = obj.batch_mean_gradient(z, batch)
+            for ids in (batch, batch.tolist()):
+                assert obj.batch_mean_gradient(z, ids).tobytes() == dense.tobytes(), ids
+                for scale in (0.5, 3.0):
+                    expected = z - scale * dense
+                    got = z.copy()
+                    assert obj.step(got, ids, scale) is None
+                    assert got.tobytes() == expected.tobytes(), (ids, scale)
 
 
 @pytest.mark.parametrize("name", ["blobs600.libsvm", "wide_sparse.libsvm",
@@ -259,11 +283,28 @@ def test_logistic_step_equals_dense_update_bitwise(fixtures_dir, name):
     assert_step_is_dense_update(LogisticObjective(load_libsvm(fixtures_dir / name)))
 
 
+def signed_zero_quadratic():
+    """Centers holding -0.0 entries: the one-row mean turns them into +0.0."""
+    centers = np.random.default_rng(4).normal(size=(10, 4))
+    centers[::2, 1::2] = -0.0
+    centers[1::2, ::2] = -0.0
+    return QuadraticObjective(centers)
+
+
 @pytest.mark.parametrize("obj", [SoftmaxObjective(multiclass_dataset()),
-                                 make_quadratic(10, 4, seed=3)[0]],
-                         ids=["softmax", "quadratic"])
+                                 make_quadratic(10, 4, seed=3)[0],
+                                 signed_zero_quadratic()],
+                         ids=["softmax", "quadratic", "quadratic-signed-zero"])
 def test_fallback_step_equals_dense_update_bitwise(obj):
-    assert_step_is_dense_update(obj)
+    # the all -0.0 point meets every -0.0 center
+    assert_step_is_dense_update(obj, step_points(obj.dim) + [np.full(obj.dim, -0.0)])
+
+
+def test_quadratic_row_step_signed_zero():
+    obj = QuadraticObjective(np.array([[-0.0, 1.0], [2.0, -0.0]]))
+    z = np.array([-0.0, -0.0])
+    obj.step(z, [0], 0.5)
+    assert z.tobytes() == np.array([0.0, 0.5]).tobytes()
 
 
 # ---------------------------------------------------------- reference solve
