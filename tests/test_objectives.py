@@ -242,15 +242,15 @@ def test_smoothness_witness(obj):
 # ---------------------------------------------------------- in-place step
 
 def step_points(dim, seed=7):
-    """A finite point holding -0.0 entries, and the same point with inf and
-    nan entries as well."""
+    """A finite point holding -0.0 entries, the same point with inf and nan
+    entries as well, and the all -0.0 point."""
     z = np.random.default_rng(seed).normal(size=dim)
     z[1::2] = -0.0
     wild = z.copy()
     wild[0::6] = np.nan
     wild[2::6] = np.inf
     wild[4::6] = -np.inf
-    return [z, wild]
+    return [z, wild, np.full(dim, -0.0)]
 
 
 def step_batches(n):
@@ -260,10 +260,10 @@ def step_batches(n):
 
 
 @np.errstate(invalid="ignore", over="ignore")
-def assert_step_is_dense_update(obj, points=None):
+def assert_step_is_dense_update(obj):
     """Every batch, as a numpy array and as the list of Python ints that
     `run` passes, steps to the dense update of the array form."""
-    for z in step_points(obj.dim) if points is None else points:
+    for z in step_points(obj.dim):
         for batch in step_batches(obj.n):
             dense = obj.batch_mean_gradient(z, batch)
             for ids in (batch, batch.tolist()):
@@ -296,8 +296,7 @@ def signed_zero_quadratic():
                                  signed_zero_quadratic()],
                          ids=["softmax", "quadratic", "quadratic-signed-zero"])
 def test_fallback_step_equals_dense_update_bitwise(obj):
-    # the all -0.0 point meets every -0.0 center
-    assert_step_is_dense_update(obj, step_points(obj.dim) + [np.full(obj.dim, -0.0)])
+    assert_step_is_dense_update(obj)
 
 
 def test_quadratic_row_step_signed_zero():
