@@ -42,19 +42,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _section(raw: dict, key: str, default: dict) -> dict:
+    """raw[key], set to `default` when absent, for a flag to write into."""
+    value = raw.setdefault(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object, not {value!r}")
+    return value
+
+
 def _load_config(args) -> ExperimentConfig:
     raw = {}
     if args.config is not None:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(raw, dict):
+            raise ConfigError("a config must be a JSON object")
     if args.dataset is not None:
-        ds = raw.get("dataset", {})
+        ds = _section(raw, "dataset", {})
         ds = dict(ds) if ds.get("kind") == "libsvm" else {"kind": "libsvm"}
         ds["path"] = args.dataset
         raw["dataset"] = ds
     if args.objective is not None:
-        if raw.get("dataset", {}).get("kind") != "libsvm":
+        ds = _section(raw, "dataset", {})
+        if ds.get("kind") != "libsvm":
             raise ConfigError("--objective only applies to libsvm datasets")
-        raw["dataset"]["objective"] = args.objective
+        ds["objective"] = args.objective
     for key in ("optimizer", "scheme", "epochs", "label", "out"):
         value = getattr(args, key)
         if value is not None:
@@ -64,9 +75,9 @@ def _load_config(args) -> ExperimentConfig:
     if args.schedule is not None:
         raw["schedule"] = {"kind": args.schedule}
     if args.lr is not None:
-        raw.setdefault("schedule", {"kind": "constant"})["lr"] = args.lr
+        _section(raw, "schedule", {"kind": "constant"})["lr"] = args.lr
     if args.theta is not None:
-        raw.setdefault("schedule", {"kind": "thm2"})["theta"] = args.theta
+        _section(raw, "schedule", {"kind": "thm2"})["theta"] = args.theta
     if args.seeds is not None:
         raw["seeds"] = [int(s) for s in args.seeds.split(",") if s]
     if args.grid is not None:

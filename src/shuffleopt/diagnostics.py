@@ -38,14 +38,23 @@ class DispersionRecord:
     end_msd: float
 
 
-def epoch_dispersion(inner_iterates) -> DispersionRecord:
+def epoch_dispersion(inner_iterates, scratch=None) -> DispersionRecord:
+    """Dispersion of an epoch's (steps + 1, dim) inner iterates.  `scratch`,
+    a float64 array of the steps' (steps, dim) shape, holds the squared
+    differences in place of a fresh one; the result is the same."""
     arr = np.asarray(inner_iterates, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 2:
         raise ValueError("need the start iterate plus at least one step")
     steps = arr[1:]
-    start = float(((steps - arr[0]) ** 2).sum(axis=1).mean())
-    end = float(((steps - arr[-1]) ** 2).sum(axis=1).mean())
-    return DispersionRecord(start, end)
+    sq = np.empty_like(steps) if scratch is None else scratch
+    return DispersionRecord(_mean_sq_dist(steps, arr[0], sq), _mean_sq_dist(steps, arr[-1], sq))
+
+
+def _mean_sq_dist(steps, point, sq) -> float:
+    """Mean over the rows of ||row - point||^2, with sq as the buffer."""
+    np.subtract(steps, point, out=sq)
+    np.multiply(sq, sq, out=sq)
+    return float(sq.sum(axis=1).mean())
 
 
 @dataclass

@@ -152,6 +152,12 @@ class ExperimentConfig:
         if ds_kind not in ("quadratic", "libsvm"):
             raise ConfigError(f"unknown dataset kind {ds_kind!r}")
         _check_entries("dataset", self.dataset, _DATASET_KEYS[ds_kind])
+        if ds_kind == "quadratic":
+            for key in ("n", "d", "seed"):
+                value = self.dataset.get(key, 0)
+                # integral floats such as 20.0 stay accepted
+                if not isinstance(value, _INT) and not float(value).is_integer():
+                    raise ConfigError(f"dataset.{key} must be an integer, not {value!r}")
         if ds_kind == "libsvm":
             if "path" not in self.dataset:
                 raise ConfigError("libsvm dataset needs a path")

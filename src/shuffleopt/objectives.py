@@ -4,6 +4,14 @@ Each objective exposes per-component and full values/gradients plus an
 analytic per-component smoothness constant L (a certified upper bound, not a
 spectral estimate).  Parameter vectors are plain float64 arrays.  The row-data
 objectives hold only their losses; rows and products come from their Dataset.
+
+The sweep's updates z -= scale * g are applied in place: `step` for a batch
+(the dense batch gradient), `row_step` for one row.  The logistic row step
+costs O(nnz) of the row and the quadratic one three ufunc calls into a
+preallocated difference; both equal `step` on that one row bitwise.  Softmax
+takes the base class's `row_step`, which is `step` on a one-row batch.  The
+quadratic's `full_value` also reuses one n-by-dim scratch array, so an
+objective is not safe to share between threads.
 """
 
 from __future__ import annotations
@@ -78,6 +86,10 @@ class Objective(abc.ABC):
         list of ints or a 1-D int array."""
         z -= scale * self.batch_mean_gradient(z, ids)
 
+    def row_step(self, z: np.ndarray, i: int, scale: float) -> None:
+        """In place: the single-row step(z, [i], scale), bitwise."""
+        self.step(z, [i], scale)
+
     def accuracy(self, w: np.ndarray) -> float | None:
         """Training accuracy where defined; None for regression-style sums."""
         return None
@@ -126,19 +138,14 @@ class LogisticObjective(Objective):
         g /= len(ids)
         return g
 
-    def step(self, z, ids, scale):
-        """A single-row step touches only the row's columns, so it costs
-        O(nnz) instead of O(dim); a batch of several rows takes the dense
-        update.
+    def row_step(self, z, i, scale):
+        """Touches only the row's columns, so it costs O(nnz) instead of
+        O(dim).
 
         The row's gradient is taken at the un-updated z and added to +0.0, as
         in `batch_mean_gradient`; every other column would get
         z - scale * 0.0, which is z for a finite scale >= 0.
         """
-        if len(ids) > 1:
-            super().step(z, ids, scale)
-            return
-        i = ids[0]
         cols, vals = self.data.row(i)
         zc = z[cols]
         grad = self._row_coef(i, vals.dot(zc)) * vals
@@ -251,6 +258,11 @@ class QuadraticObjective(Objective):
         self.centers = centers
         self.n, self.dim = centers.shape
         self._mean = centers.mean(axis=0)
+        # row_step's centers: the one-row mean turns a -0.0 entry into +0.0
+        # and divides by 1 exactly; + 0.0 does the same
+        self._rows = list(centers + 0.0)
+        self._row_diff = np.empty(self.dim)
+        self._diffs = np.empty_like(centers)  # full_value's scratch
 
     def component_value(self, w, i):
         diff = w - self.centers[i]
@@ -262,19 +274,17 @@ class QuadraticObjective(Objective):
     def batch_mean_gradient(self, w, ids):
         return w - self.centers[ids].mean(axis=0)
 
-    def step(self, z, ids, scale):
-        """A single-row step skips the batch gather and mean; a batch of
-        several rows takes the dense update."""
-        if len(ids) > 1:
-            super().step(z, ids, scale)
-            return
-        # the one-row mean turns a -0.0 entry into +0.0 and divides by 1
-        # exactly; + 0.0 does the same
-        z -= scale * (z - (self.centers[ids[0]] + 0.0))
+    def row_step(self, z, i, scale):
+        """z -= scale * (z - c_i) without the batch gather and mean, through
+        one preallocated difference."""
+        diff = np.subtract(z, self._rows[i], out=self._row_diff)
+        np.multiply(diff, scale, out=diff)
+        np.subtract(z, diff, out=z)
 
     def full_value(self, w):
-        diffs = w[None, :] - self.centers
-        return 0.5 * float((diffs * diffs).sum(axis=1).mean())
+        diffs = np.subtract(w, self.centers, out=self._diffs)
+        np.multiply(diffs, diffs, out=diffs)
+        return 0.5 * float(diffs.sum(axis=1).mean())
 
     def full_gradient(self, w):
         return w - self._mean

@@ -19,15 +19,20 @@ only in that rule and in what becomes of the end point:
 
 Here g is the mean gradient of the batch.  A batch is a contiguous block of
 the epoch's permutation, handed to the objective as a list of Python ints,
-and all of its gradients are evaluated at the same inner iterate.  The updates
-of the form "point minus scale times g" (nasg, nasg-pi, sgd) go through
-`objective.step`, which applies them in place; at batch size 1 a row-data step
-touches only the row's columns and a quadratic step skips the batch gather
-and mean.  sgdm and adam take g from `batch_mean_gradient` and update their
-moments in place.  Inner iterates are written into one (blocks + 1, dim)
-array per epoch.  The nasg family applies batches with per-component step
-eta_t/n, so batch size 1 recovers the per-sample sweep exactly and batch size
-n recovers one full-gradient step of size eta_t.
+and all of its gradients are evaluated at the same inner iterate.  `run`
+picks the method's sweep once per run, so no step goes through a dispatch on
+the method.  The updates of the form "point minus scale times g" (nasg,
+nasg-pi, sgd) are applied in place: at batch size 1 the sweep hands each
+index of the order, a Python int, to `objective.row_step` with a step scale
+computed once per epoch, and larger batches go through `objective.step`.  A
+row-data row step touches only the row's columns, and a quadratic one skips
+the batch gather and mean.  sgdm and adam take g from `batch_mean_gradient`
+and update their moments in place.  Inner iterates are written into one
+(blocks + 1, dim) array per epoch; when only the dispersion reads them, one
+such array and one scratch block serve every epoch.  The nasg family applies
+batches with per-component step eta_t/n, so batch size 1 recovers the
+per-sample sweep exactly and batch size n recovers one full-gradient step of
+size eta_t.
 
 Divergence (a non-finite iterate) is a first-class outcome: `run`
 raises DivergenceError carrying the partial trace instead of crashing.  A
@@ -118,6 +123,117 @@ def start_point(optimizer: str, objective, batch_size: int, x0, options: TraceOp
     return x
 
 
+def _sweep_rule(optimizer: str, objective, batch_size: int, sgdm_beta: float,
+                adam_beta1: float, adam_beta2: float, adam_eps: float):
+    """The method's epoch, picked once per run.
+
+    Returns sweep(y, x, order, eta, gamma, inner) -> (x_t, z).  It runs one
+    epoch from the sweep point y, where x is the previous convergence
+    iterate, `order` the epoch's index order as a list of ints (None for
+    nag), eta the epoch's step size and gamma its extrapolation weight.
+    When `inner` is an array, inner iterate k is written to inner[k].  x_t
+    is the epoch's convergence iterate and z the point the sweep ends at;
+    y and x are left unchanged.
+    """
+    n = objective.n
+    if optimizer == "nag":
+        def nag_sweep(y, x, order, eta, gamma, inner):
+            z = y - eta * objective.full_gradient(y)
+            return z, z
+        return nag_sweep
+
+    # step(z, ids, scale) applies one batch to z in place
+    moments = optimizer in ("sgdm", "adam")
+    if moments:
+        step = _moment_step(optimizer, objective, sgdm_beta, adam_beta1, adam_beta2, adam_eps)
+    elif batch_size == 1:
+        step = objective.row_step
+    elif optimizer == "sgd":
+        step = objective.step
+    else:
+        def step(z, ids, scale):
+            # a batch of k components takes eta / n * k
+            objective.step(z, ids, scale * len(ids))
+    # the nasg family's step is per component
+    per_component = optimizer in ("nasg", "nasg-pi")
+
+    def batches(order):
+        """At batch size 1 the row steps take the ints themselves; every
+        other batch is a list of ints."""
+        if batch_size == 1 and not moments:
+            return order
+        return [order[start:start + batch_size] for start in range(0, n, batch_size)]
+
+    if optimizer == "nasg-pi":
+        def pi_sweep(y, x, order, eta, gamma, inner):
+            z, scale = y, eta / n
+            for k, ids in enumerate(batches(order), 1):
+                x_new = z.copy()
+                step(x_new, ids, scale)
+                z = x_new + gamma * (x_new - x)
+                x = x_new
+                if inner is not None:
+                    inner[k] = z
+            return x, z
+        return pi_sweep
+
+    def point_sweep(y, x, order, eta, gamma, inner):
+        z, scale = y.copy(), eta / n if per_component else eta
+        for k, ids in enumerate(batches(order), 1):
+            step(z, ids, scale)
+            if inner is not None:
+                inner[k] = z
+        return z, z
+    return point_sweep
+
+
+def _moment_step(optimizer: str, objective, sgdm_beta: float, adam_beta1: float,
+                 adam_beta2: float, adam_eps: float):
+    """sgdm's or adam's step(z, ids, eta), holding the moments of one run.
+
+    The moments are updated in place, with no dim-sized temporaries; the
+    batch gradient g, no longer needed, ends up holding the step.
+    """
+    dim = objective.dim
+    m = np.zeros(dim)  # sgdm velocity, adam first moment
+    if optimizer == "sgdm":
+        def sgdm_step(z, ids, eta):
+            nonlocal m  # the in-place operators rebind the names
+            g = objective.batch_mean_gradient(z, ids)
+            # m = beta * m + g;  step eta * m
+            m *= sgdm_beta
+            m += g
+            np.multiply(m, eta, out=g)
+            z -= g
+        return sgdm_step
+
+    v = np.zeros(dim)    # second moment
+    buf = np.empty(dim)
+    count = 0            # bias-correction counter, runs across epochs
+
+    def adam_step(z, ids, eta):
+        nonlocal m, v, buf, count
+        g = objective.batch_mean_gradient(z, ids)
+        count += 1
+        # m = beta1 * m + (1 - beta1) * g
+        m *= adam_beta1
+        m += np.multiply(g, 1.0 - adam_beta1, out=buf)
+        # v = beta2 * v + ((1 - beta2) * g) * g
+        v *= adam_beta2
+        np.multiply(g, 1.0 - adam_beta2, out=buf)
+        buf *= g
+        v += buf
+        # step (eta * m_hat) / (sqrt(v_hat) + eps)
+        np.divide(v, 1.0 - adam_beta2 ** count, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += adam_eps
+        np.divide(m, 1.0 - adam_beta1 ** count, out=g)
+        g *= eta
+        g /= buf
+        z -= g
+    return adam_step
+
+
 def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0,
         batch_size: int = 1, x0=None, options: TraceOptions | None = None, *,
         sgdm_beta: float = 0.9, adam_beta1: float = 0.9, adam_beta2: float = 0.999,
@@ -137,16 +253,21 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
     x = start_point(optimizer, objective, batch_size, x0, options, with_replacement)
     scheme = ShufflingScheme(scheme, seed)
     n, dim, T = objective.n, objective.dim, schedule.T
-    need_inner = options.record_inner or options.record_dispersion
+    sweep = _sweep_rule(optimizer, objective, batch_size, sgdm_beta, adam_beta1, adam_beta2,
+                        adam_eps)
+    blocks = -(-n // batch_size)
+    # recorded inner iterates get a fresh array per epoch; when only the
+    # dispersion reads them, one array and its scratch serve every epoch
+    inner = None
+    if options.record_dispersion:
+        sq = np.empty((blocks, dim))
+        if not options.record_inner:
+            inner = np.empty((blocks + 1, dim))
 
     # x is the convergence iterate and y the point each sweep starts from;
     # the baselines keep them equal
     nesterov = optimizer in ("nasg", "nasg-pi", "nag")
     y = x.copy()
-    m = np.zeros(dim)  # sgdm velocity, adam first moment
-    v = np.zeros(dim)  # adam second moment
-    buf = np.empty(dim)  # adam's scratch
-    step = 0           # adam bias-correction counter, runs across epochs
 
     trace: list[EpochTrace] = []
     x_snaps = [x.copy()] if options.record_iterates else None
@@ -163,72 +284,24 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
             order = uniform_indices(scheme.base_seed, t, n, n)
         else:
             order = generate_permutation(scheme, n, t)
+        if options.record_inner:
+            inner = np.empty((blocks + 1, dim))
+        if inner is not None:
+            inner[0] = y
         # let overflow produce inf/nan silently; the end-of-sweep check below
         # catches it
         with np.errstate(over="ignore", invalid="ignore"):
-            inner = None
-            if optimizer == "nag":
-                z = y - eta * objective.full_gradient(y)
-            else:
-                z = y.copy()
-                x_step = x  # nasg-pi's inner x iterate
-                starts = range(0, n, batch_size)
-                if need_inner:
-                    inner = np.empty((len(starts) + 1, dim))
-                    inner[0] = z
-                # the batches as lists of Python ints, cheaper to index with
-                # than numpy integers
-                perm = order.tolist()
-                for block, start in enumerate(starts, 1):
-                    ids = perm[start:start + batch_size]
-                    if optimizer == "nasg":
-                        objective.step(z, ids, eta / n * len(ids))
-                    elif optimizer == "nasg-pi":
-                        x_new = z.copy()
-                        objective.step(x_new, ids, eta / n * len(ids))
-                        z = x_new + gamma * (x_new - x_step)
-                        x_step = x_new
-                    elif optimizer == "sgd":
-                        objective.step(z, ids, eta)
-                    else:
-                        # in place, with no dim-sized temporaries; g, no
-                        # longer needed, ends up holding the step
-                        g = objective.batch_mean_gradient(z, ids)
-                        if optimizer == "sgdm":
-                            # m = beta * m + g;  step eta * m
-                            m *= sgdm_beta
-                            m += g
-                            np.multiply(m, eta, out=g)
-                        else:
-                            step += 1
-                            # m = beta1 * m + (1 - beta1) * g
-                            m *= adam_beta1
-                            m += np.multiply(g, 1.0 - adam_beta1, out=buf)
-                            # v = beta2 * v + ((1 - beta2) * g) * g
-                            v *= adam_beta2
-                            np.multiply(g, 1.0 - adam_beta2, out=buf)
-                            buf *= g
-                            v += buf
-                            # step (eta * m_hat) / (sqrt(v_hat) + eps)
-                            np.divide(v, 1.0 - adam_beta2 ** step, out=buf)
-                            np.sqrt(buf, out=buf)
-                            buf += adam_eps
-                            np.divide(m, 1.0 - adam_beta1 ** step, out=g)
-                            g *= eta
-                            g /= buf
-                        z -= g
-                    if need_inner:
-                        inner[block] = z
+            # the order as Python ints, cheaper to index with than numpy
+            # integers
+            x_t, z = sweep(y, x, None if order is None else order.tolist(), eta, gamma, inner)
             if not np.isfinite(z).all():
                 raise DivergenceError(f"non-finite iterate in epoch {t}", t,
                                       RunResult(trace, x.copy(), x_snaps, y_snaps,
                                                 inner_all, perms))
-            if optimizer == "nasg-pi":
-                x, y = x_step, z
-            elif nesterov:
-                x, y = z, z + gamma * (z - x)
-            else:
-                x = y = z
+            if optimizer in ("nasg", "nag"):
+                # one extrapolation per epoch
+                z = z + gamma * (z - x)
+            x, y = x_t, z
 
             g = objective.full_gradient(x)
             row = EpochTrace(epoch=t, value=objective.full_value(x),
@@ -236,7 +309,7 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
             if options.record_accuracy:
                 row.accuracy = objective.accuracy(x)
             if options.record_dispersion:
-                dispersion = epoch_dispersion(inner)
+                dispersion = epoch_dispersion(inner, sq)
                 row.disp_start, row.disp_end = dispersion.start_msd, dispersion.end_msd
         trace.append(row)
         if options.record_iterates:

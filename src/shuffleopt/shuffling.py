@@ -45,9 +45,9 @@ def random_permutation(n: int, key: int) -> np.ndarray:
     """
     order = list(range(n))
     if n >= 2:
-        draws = words(key, n - 1).tolist()
-        for i in range(n - 1, 0, -1):
-            j = draws[n - 1 - i] % (i + 1)
+        # draw k picks the swap partner of i = n-1-k from [0, i]
+        partners = (words(key, n - 1) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+        for i, j in zip(range(n - 1, 0, -1), partners):
             order[i], order[j] = order[j], order[i]
     return np.array(order, dtype=np.int64)
 

@@ -39,6 +39,30 @@ def test_dispersion_quadratic_homogeneity():
     assert doubled.end_msd == pytest.approx(4.0 * base.end_msd, rel=1e-15)
 
 
+def old_dispersion(arr):
+    """The four-temporary expression the scratch form replaced."""
+    steps = arr[1:]
+    return (float(((steps - arr[0]) ** 2).sum(axis=1).mean()),
+            float(((steps - arr[-1]) ** 2).sum(axis=1).mean()))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def test_dispersion_scratch_is_bitwise_old_expression():
+    rng = np.random.default_rng(12)
+    wild = rng.normal(size=(9, 7))
+    wild[1::3, ::2] = -0.0
+    wild[4, 3], wild[6, 1] = np.inf, np.nan
+    cases = [rng.normal(size=(501, 50)), 1e200 * rng.normal(size=(4, 3)), wild,
+             np.full((3, 2), -0.0)]
+    for arr in cases:
+        expected = old_dispersion(arr)
+        scratch = np.full((arr.shape[0] - 1, arr.shape[1]), np.nan)
+        for rec in (epoch_dispersion(arr), epoch_dispersion(arr, scratch),
+                    epoch_dispersion(arr, scratch)):  # a used scratch again
+            got = (rec.start_msd, rec.end_msd)
+            assert np.array(got).tobytes() == np.array(expected).tobytes(), arr.shape
+
+
 def test_dispersion_needs_steps():
     with pytest.raises(ValueError):
         epoch_dispersion(np.zeros((1, 2)))

@@ -45,6 +45,13 @@ def test_config_validation():
         quad_config(dataset={"kind": "libsvm"})
 
 
+def test_config_accepts_integral_float_sizes():
+    config = quad_config(dataset={"kind": "quadratic", "n": 20.0, "d": 4.0, "seed": 3.0})
+    assert config.dataset["n"] == 20.0  # echoed as given
+    objective = harness.build_objective(config)[0]
+    assert objective.centers.tobytes() == make_quadratic(20, 4, 3)[0].centers.tobytes()
+
+
 def test_config_grid_implies_constant_schedule():
     config = ExperimentConfig.from_dict({"grid": [0.1, 0.01], "seeds": [1]})
     assert config.schedule["kind"] == "constant"
@@ -323,14 +330,31 @@ BAD_CONFIGS = {
     "constant-one-epoch-bound": {"schedule": {"kind": "constant", "lr": 0.1}, "epochs": 1,
                                  "bounds": ["thm1"]},
     "delta-overflow": {"x0": [1e200] + [0.0] * 9},
+    "fractional-quadratic-sizes": {"dataset": {"kind": "quadratic", "n": 2.7, "d": 2.2,
+                                               "seed": 1.5}},
+    "fractional-quadratic-seed": {"dataset": {"kind": "quadratic", "seed": 7.5}},
+    # a flag override writes into the config before it is validated
+    "list-config-with-flag": [1, 2],
+    "string-config-with-flag": "x",
+    "list-dataset-with-flag": {"dataset": [1]},
+    "string-dataset-with-objective-flag": {"dataset": "x"},
+    "string-schedule-with-flag": {"schedule": "x"},
+    "null-schedule-with-flag": {"schedule": None},
 }
-BAD_FLAGS = {"theta-without-thm2": ["--theta", "0.5"]}
+BAD_FLAGS = {"theta-without-thm2": ["--theta", "0.5"],
+             "list-config-with-flag": ["--epochs", "3"],
+             "string-config-with-flag": ["--dataset", "f.libsvm"],
+             "list-dataset-with-flag": ["--dataset", "f.libsvm"],
+             "string-dataset-with-objective-flag": ["--objective", "softmax"],
+             "string-schedule-with-flag": ["--lr", "0.1"],
+             "null-schedule-with-flag": ["--theta", "0.5"]}
 
 
 @pytest.mark.parametrize("probe", sorted(BAD_CONFIGS))
 def test_cli_rejects_config_before_any_artifact(tmp_path, capsys, probe):
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"epochs": 2, **BAD_CONFIGS[probe]}))
+    raw = BAD_CONFIGS[probe]
+    config_path.write_text(json.dumps({"epochs": 2, **raw} if isinstance(raw, dict) else raw))
     out = tmp_path / "results"
     argv = ["run", "--config", str(config_path), "--out", str(out), *BAD_FLAGS.get(probe, [])]
     assert main(argv) == 2

@@ -262,7 +262,9 @@ def step_batches(n):
 @np.errstate(invalid="ignore", over="ignore")
 def assert_step_is_dense_update(obj):
     """Every batch, as a numpy array and as the list of Python ints that
-    `run` passes, steps to the dense update of the array form."""
+    `run` passes, steps to the dense update of the array form, and
+    `row_step` takes each row of the three-row batch to its one-row dense
+    update."""
     for z in step_points(obj.dim):
         for batch in step_batches(obj.n):
             dense = obj.batch_mean_gradient(z, batch)
@@ -273,6 +275,12 @@ def assert_step_is_dense_update(obj):
                     got = z.copy()
                     assert obj.step(got, ids, scale) is None
                     assert got.tobytes() == expected.tobytes(), (ids, scale)
+        for i in step_batches(obj.n)[1].tolist():
+            for scale in (0.5, 3.0):
+                expected = z - scale * obj.batch_mean_gradient(z, [i])
+                got = z.copy()
+                assert obj.row_step(got, i, scale) is None
+                assert got.tobytes() == expected.tobytes(), (i, scale)
 
 
 @pytest.mark.parametrize("name", ["blobs600.libsvm", "wide_sparse.libsvm",
@@ -301,9 +309,27 @@ def test_fallback_step_equals_dense_update_bitwise(obj):
 
 def test_quadratic_row_step_signed_zero():
     obj = QuadraticObjective(np.array([[-0.0, 1.0], [2.0, -0.0]]))
+    for _ in range(2):  # the second step reuses the preallocated difference
+        z = np.array([-0.0, -0.0])
+        obj.row_step(z, 0, 0.5)
+        assert z.tobytes() == np.array([0.0, 0.5]).tobytes()
     z = np.array([-0.0, -0.0])
     obj.step(z, [0], 0.5)
     assert z.tobytes() == np.array([0.0, 0.5]).tobytes()
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def test_quadratic_full_value_is_bitwise_old_expression():
+    def old_full_value(obj, w):
+        diffs = w[None, :] - obj.centers
+        return 0.5 * float((diffs * diffs).sum(axis=1).mean())
+
+    for obj in (make_quadratic(500, 50, seed=5)[0], signed_zero_quadratic(),
+                QuadraticObjective(np.array([[1e200, -3.0]]))):
+        for w in step_points(obj.dim) + [np.full(obj.dim, 1e160)]:
+            for _ in range(2):  # the second call reuses the scratch
+                assert struct.pack("<d", obj.full_value(w)) == \
+                    struct.pack("<d", old_full_value(obj, w))
 
 
 # ---------------------------------------------------------- reference solve

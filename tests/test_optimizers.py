@@ -10,7 +10,7 @@ from shuffleopt.objectives import (LogisticObjective, QuadraticObjective, Softma
                                    make_quadratic)
 from shuffleopt.optimizers import DivergenceError, TraceOptions, run
 from shuffleopt.diagnostics import (center_update_errors, convergence_bound,
-                                    momentum_reconstruction_errors)
+                                    epoch_dispersion, momentum_reconstruction_errors)
 from shuffleopt.schedules import ScheduleKind, ScheduleSpec, epoch_step_size
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -268,6 +268,27 @@ def test_divergence_carries_partial_trace():
     assert 0 < len(err.value.partial.trace) < 50
     assert err.value.epoch == len(err.value.partial.trace) + 1
     assert f"epoch {err.value.epoch}" in str(err.value)
+
+
+@pytest.mark.parametrize("optimizer", ["nasg", "nasg-pi", "sgd", "adam"])
+@pytest.mark.parametrize("batch_size", [1, 3])
+def test_recorded_inner_iterates_are_not_aliased(optimizer, batch_size):
+    obj, _, _ = make_quadratic(10, 3, seed=2)
+    sched = constant(0.2, T=3)
+    both = run(optimizer, obj, "rr", sched, seed=4, batch_size=batch_size,
+               options=TraceOptions(record_inner=True, record_dispersion=True))
+    inner = both.inner_iterates
+    assert len(inner) == 3 and len({id(arr) for arr in inner}) == 3
+    assert not any(np.shares_memory(a, b) for a, b in [(inner[0], inner[1]),
+                                                         (inner[1], inner[2])])
+    for arr, row in zip(inner, both.trace):
+        dispersion = epoch_dispersion(arr)
+        assert (row.disp_start, row.disp_end) == (dispersion.start_msd, dispersion.end_msd)
+    # the dispersion-only run reuses one inner array across epochs
+    alone = run(optimizer, obj, "rr", sched, seed=4, batch_size=batch_size,
+                options=TraceOptions(record_dispersion=True))
+    assert [(r.disp_start, r.disp_end) for r in alone.trace] == \
+        [(r.disp_start, r.disp_end) for r in both.trace]
 
 
 def test_dispersion_of_a_huge_epoch_is_silent():

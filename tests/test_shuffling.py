@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shuffleopt.prng import words
 from shuffleopt.shuffling import (SchemeKind, ShufflingScheme, generate_permutation,
                                   is_permutation, random_permutation, uniform_indices)
 
@@ -79,3 +80,21 @@ def test_random_permutation_small_sizes():
     assert random_permutation(1, 42).tolist() == [0]
     two = random_permutation(2, 42)
     assert sorted(two.tolist()) == [0, 1]
+
+
+def straight_fisher_yates(n, key):
+    """One modulo draw per swap, in the loop."""
+    order = list(range(n))
+    draws = words(key, max(n - 1, 0)).tolist()
+    for i in range(n - 1, 0, -1):
+        j = draws[n - 1 - i] % (i + 1)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 600, 10000])
+def test_random_permutation_is_straight_fisher_yates(n):
+    for key in (0, 42, 2 ** 64 - 1, 0x5EED):
+        got = random_permutation(n, key)
+        assert got.dtype == np.int64
+        assert got.tolist() == straight_fisher_yates(n, key)
