@@ -39,15 +39,15 @@ def test_dispersion_quadratic_homogeneity():
     assert doubled.end_msd == pytest.approx(4.0 * base.end_msd, rel=1e-15)
 
 
-def old_dispersion(arr):
-    """The four-temporary expression the scratch form replaced."""
+def reference_dispersion(arr):
+    """The dispersion as one expression, with fresh temporaries."""
     steps = arr[1:]
     return (float(((steps - arr[0]) ** 2).sum(axis=1).mean()),
             float(((steps - arr[-1]) ** 2).sum(axis=1).mean()))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def test_dispersion_scratch_is_bitwise_old_expression():
+def test_dispersion_scratch_matches_reference_bitwise():
     rng = np.random.default_rng(12)
     wild = rng.normal(size=(9, 7))
     wild[1::3, ::2] = -0.0
@@ -55,7 +55,7 @@ def test_dispersion_scratch_is_bitwise_old_expression():
     cases = [rng.normal(size=(501, 50)), 1e200 * rng.normal(size=(4, 3)), wild,
              np.full((3, 2), -0.0)]
     for arr in cases:
-        expected = old_dispersion(arr)
+        expected = reference_dispersion(arr)
         scratch = np.full((arr.shape[0] - 1, arr.shape[1]), np.nan)
         for rec in (epoch_dispersion(arr), epoch_dispersion(arr, scratch),
                     epoch_dispersion(arr, scratch)):  # a used scratch again

@@ -319,8 +319,8 @@ def test_quadratic_row_step_signed_zero():
 
 
 @np.errstate(invalid="ignore", over="ignore")
-def test_quadratic_full_value_is_bitwise_old_expression():
-    def old_full_value(obj, w):
+def test_quadratic_full_value_matches_reference_bitwise():
+    def reference_full_value(obj, w):
         diffs = w[None, :] - obj.centers
         return 0.5 * float((diffs * diffs).sum(axis=1).mean())
 
@@ -329,7 +329,7 @@ def test_quadratic_full_value_is_bitwise_old_expression():
         for w in step_points(obj.dim) + [np.full(obj.dim, 1e160)]:
             for _ in range(2):  # the second call reuses the scratch
                 assert struct.pack("<d", obj.full_value(w)) == \
-                    struct.pack("<d", old_full_value(obj, w))
+                    struct.pack("<d", reference_full_value(obj, w))
 
 
 # ---------------------------------------------------------- reference solve
