@@ -38,15 +38,13 @@ class DispersionRecord:
     end_msd: float
 
 
-def epoch_dispersion(inner_iterates, scratch=None) -> DispersionRecord:
-    """Dispersion of an epoch's (steps + 1, dim) inner iterates.  `scratch`,
-    a float64 array of the steps' (steps, dim) shape, holds the squared
-    differences in place of a fresh one; the result is the same."""
+def epoch_dispersion(inner_iterates) -> DispersionRecord:
+    """Dispersion of an epoch's (steps + 1, dim) inner iterates."""
     arr = np.asarray(inner_iterates, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 2:
         raise ValueError("need the start iterate plus at least one step")
     steps = arr[1:]
-    sq = np.empty_like(steps) if scratch is None else scratch
+    sq = np.empty_like(steps)  # one temporary for both distances
     return DispersionRecord(_mean_sq_dist(steps, arr[0], sq), _mean_sq_dist(steps, arr[-1], sq))
 
 

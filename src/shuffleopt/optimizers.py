@@ -20,16 +20,15 @@ only in that rule and in what becomes of the end point:
 Here g is the mean gradient of the batch.  A batch is a contiguous block of
 the epoch's permutation, handed to the objective as a list of Python ints,
 and all of its gradients are evaluated at the same inner iterate.  `run`
-picks the method's sweep once per run, so no step goes through a dispatch on
-the method.  The updates of the form "point minus scale times g" (nasg,
-nasg-pi, sgd) are applied in place: at batch size 1 the sweep hands each
-index of the order, a Python int, to `objective.row_step` with a step scale
-computed once per epoch, and larger batches go through `objective.step`.  A
-row-data row step touches only the row's columns, and a quadratic one skips
-the batch gather and mean.  sgdm and adam take g from `batch_mean_gradient`
-and update their moments in place.  Inner iterates are written into one
-(blocks + 1, dim) array per epoch; when only the dispersion reads them, one
-such array and one scratch block serve every epoch.  The nasg family applies
+picks the method's update rule once per run, so no step goes through a
+dispatch on the method's name.  The updates of the form "point minus scale
+times g" (nasg, nasg-pi, sgd) are applied in place: at batch size 1 the sweep
+hands each index of the order, a Python int, to `objective.row_step` with a
+step scale computed once per epoch, and larger batches go through
+`objective.step`.  A row-data row step touches only the row's columns, and a
+quadratic one skips the batch gather and mean.  sgdm and adam take g from
+`batch_mean_gradient` and update their moments in place.  Inner iterates are
+written into one (blocks + 1, dim) array per epoch.  The nasg family applies
 batches with per-component step eta_t/n, so batch size 1 recovers the
 per-sample sweep exactly and batch size n recovers one full-gradient step of
 size eta_t.
@@ -123,73 +122,6 @@ def start_point(optimizer: str, objective, batch_size: int, x0, options: TraceOp
     return x
 
 
-def _sweep_rule(optimizer: str, objective, batch_size: int, sgdm_beta: float,
-                adam_beta1: float, adam_beta2: float, adam_eps: float):
-    """The method's epoch, picked once per run.
-
-    Returns sweep(y, x, order, eta, gamma, inner) -> (x_t, z).  It runs one
-    epoch from the sweep point y, where x is the previous convergence
-    iterate, `order` the epoch's index order as a list of ints (None for
-    nag), eta the epoch's step size and gamma its extrapolation weight.
-    When `inner` is an array, inner iterate k is written to inner[k].  x_t
-    is the epoch's convergence iterate and z the point the sweep ends at;
-    y and x are left unchanged.
-    """
-    n = objective.n
-    if optimizer == "nag":
-        def nag_sweep(y, x, order, eta, gamma, inner):
-            z = y - eta * objective.full_gradient(y)
-            return z, z
-        return nag_sweep
-
-    # step(z, ids, scale) applies one batch to z in place
-    moments = optimizer in ("sgdm", "adam")
-    if moments:
-        step = _moment_step(optimizer, objective, sgdm_beta, adam_beta1, adam_beta2, adam_eps)
-    elif batch_size == 1:
-        step = objective.row_step
-    elif optimizer == "sgd":
-        step = objective.step
-    else:
-        def step(z, ids, scale):
-            # a batch of k components takes eta / n * k
-            objective.step(z, ids, scale * len(ids))
-    # the nasg family's step is per component
-    per_component = optimizer in ("nasg", "nasg-pi")
-
-    def batches(order):
-        """At batch size 1 the row steps take the ints themselves; every
-        other batch is a list of ints."""
-        if batch_size == 1 and not moments:
-            return order
-        return [order[start:start + batch_size] for start in range(0, n, batch_size)]
-
-    if optimizer == "nasg-pi":
-        def pi_sweep(y, x, order, eta, gamma, inner):
-            # starting from a copy, not from y, keeps glibc from trimming and
-            # regrowing its heap on every step at wide dims (41 page faults
-            # per step at d = 50000)
-            z, scale = y.copy(), eta / n
-            for k, ids in enumerate(batches(order), 1):
-                x_new = z.copy()
-                step(x_new, ids, scale)
-                z = x_new + gamma * (x_new - x)
-                x = x_new
-                if inner is not None:
-                    inner[k] = z
-            return x, z
-        return pi_sweep
-
-    def point_sweep(y, x, order, eta, gamma, inner):
-        z, scale = y.copy(), eta / n if per_component else eta
-        for k, ids in enumerate(batches(order), 1):
-            step(z, ids, scale)
-            if inner is not None:
-                inner[k] = z
-        return z, z
-    return point_sweep
-
-
 def _moment_step(optimizer: str, objective, sgdm_beta: float, adam_beta1: float,
                  adam_beta2: float, adam_eps: float):
     """sgdm's or adam's step(z, ids, eta), holding the moments of one run.
@@ -256,16 +188,23 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
     x = start_point(optimizer, objective, batch_size, x0, options, with_replacement)
     scheme = ShufflingScheme(scheme, seed)
     n, dim, T = objective.n, objective.dim, schedule.T
-    sweep = _sweep_rule(optimizer, objective, batch_size, sgdm_beta, adam_beta1, adam_beta2,
-                        adam_eps)
-    blocks = -(-n // batch_size)
-    # recorded inner iterates get a fresh array per epoch; when only the
-    # dispersion reads them, one array and its scratch serve every epoch
-    inner = None
-    if options.record_dispersion:
-        sq = np.empty((blocks, dim))
-        if not options.record_inner:
-            inner = np.empty((blocks + 1, dim))
+    need_inner = options.record_inner or options.record_dispersion
+    # the update rule, picked once per run: step(z, ids, scale) applies one
+    # batch to z in place
+    moments = optimizer in ("sgdm", "adam")
+    per_component = optimizer in ("nasg", "nasg-pi")  # the nasg family's step
+    if moments:
+        step = _moment_step(optimizer, objective, sgdm_beta, adam_beta1, adam_beta2, adam_eps)
+    elif batch_size == 1:
+        step = objective.row_step
+    elif per_component:
+        def step(z, ids, scale):
+            # a batch of k components takes eta / n * k
+            objective.step(z, ids, scale * len(ids))
+    else:
+        step = objective.step
+    row_steps = batch_size == 1 and not moments  # the order's ints are the batches
+    pi = optimizer == "nasg-pi"
 
     # x is the convergence iterate and y the point each sweep starts from;
     # the baselines keep them equal
@@ -287,24 +226,44 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
             order = uniform_indices(scheme.base_seed, t, n, n)
         else:
             order = generate_permutation(scheme, n, t)
-        if options.record_inner:
-            inner = np.empty((blocks + 1, dim))
-        if inner is not None:
-            inner[0] = y
         # let overflow produce inf/nan silently; the end-of-sweep check below
         # catches it
         with np.errstate(over="ignore", invalid="ignore"):
-            # the order as Python ints, cheaper to index with than numpy
-            # integers
-            x_t, z = sweep(y, x, None if order is None else order.tolist(), eta, gamma, inner)
+            inner = None
+            if optimizer == "nag":
+                z = y - eta * objective.full_gradient(y)
+            else:
+                # the order as Python ints, cheaper to index with than numpy
+                # integers
+                perm = order.tolist()
+                batches = perm if row_steps else [perm[start:start + batch_size]
+                                                  for start in range(0, n, batch_size)]
+                scale = eta / n if per_component else eta
+                z = y.copy()
+                x_step = x  # nasg-pi's inner x iterate
+                if need_inner:
+                    inner = np.empty((len(batches) + 1, dim))
+                    inner[0] = z
+                for block, ids in enumerate(batches, 1):
+                    if pi:
+                        x_new = z.copy()
+                        step(x_new, ids, scale)
+                        z = x_new + gamma * (x_new - x_step)
+                        x_step = x_new
+                    else:
+                        step(z, ids, scale)
+                    if need_inner:
+                        inner[block] = z
             if not np.isfinite(z).all():
                 raise DivergenceError(f"non-finite iterate in epoch {t}", t,
                                       RunResult(trace, x.copy(), x_snaps, y_snaps,
                                                 inner_all, perms))
-            if optimizer in ("nasg", "nag"):
-                # one extrapolation per epoch
-                z = z + gamma * (z - x)
-            x, y = x_t, z
+            if pi:
+                x, y = x_step, z
+            elif nesterov:
+                x, y = z, z + gamma * (z - x)
+            else:
+                x = y = z
 
             g = objective.full_gradient(x)
             row = EpochTrace(epoch=t, value=objective.full_value(x),
@@ -312,7 +271,7 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
             if options.record_accuracy:
                 row.accuracy = objective.accuracy(x)
             if options.record_dispersion:
-                dispersion = epoch_dispersion(inner, sq)
+                dispersion = epoch_dispersion(inner)
                 row.disp_start, row.disp_end = dispersion.start_msd, dispersion.end_msd
         trace.append(row)
         if options.record_iterates:

@@ -284,7 +284,7 @@ def test_recorded_inner_iterates_are_not_aliased(optimizer, batch_size):
     for arr, row in zip(inner, both.trace):
         dispersion = epoch_dispersion(arr)
         assert (row.disp_start, row.disp_end) == (dispersion.start_msd, dispersion.end_msd)
-    # the dispersion-only run reuses one inner array across epochs
+    # recording the inner iterates does not change the dispersion
     alone = run(optimizer, obj, "rr", sched, seed=4, batch_size=batch_size,
                 options=TraceOptions(record_dispersion=True))
     assert [(r.disp_start, r.disp_end) for r in alone.trace] == \
