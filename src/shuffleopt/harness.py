@@ -27,8 +27,8 @@ import numpy as np
 
 from .data import load_libsvm
 from .diagnostics import convergence_bound, fit_rate
-from .objectives import (LogisticObjective, SoftmaxObjective, make_quadratic,
-                         solve_reference, variance_at_point)
+from .objectives import (LogisticObjective, ReferenceSolveError, SoftmaxObjective,
+                         make_quadratic, solve_reference, variance_at_point)
 from .optimizers import OPTIMIZERS, DivergenceError, TraceOptions, run, start_point
 from .schedules import ScheduleKind, ScheduleSpec
 from .shuffling import SchemeKind
@@ -71,6 +71,9 @@ def _check_type(name: str, value, allowed):
     if isinstance(value, bool) != (bool in allowed) or not isinstance(value, allowed):
         names = " or ".join(_TYPE_NAMES[t] for t in allowed)
         raise ConfigError(f"{name} must be {names}, not {value!r}")
+    # JSON's NaN and Infinity; integers are exact, however large
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, not {value!r}")
 
 
 def _check_entries(name: str, raw: dict, types: dict):
@@ -333,7 +336,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
         options = TraceOptions(record_accuracy=config.record_accuracy,
                                record_dispersion=config.record_dispersion)
         x0 = start_point(config.optimizer, objective, config.batch_size, config.x0, options,
-                         config.with_replacement)
+                         config.with_replacement, sgdm_beta=config.sgdm_beta,
+                         adam_beta1=config.adam_beta1, adam_beta2=config.adam_beta2,
+                         adam_eps=config.adam_eps)
         if ref is None and config.bounds:
             raise ConfigError("bound reports need a reference (minimizer oracle)")
         if ref is None and config.rate_epochs:
@@ -361,6 +366,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
                 sigma_sq=sigma_sq, n=objective.n)) for regime in config.bounds]
     except (OSError, ValueError) as err:
         raise ConfigError(str(err)) from err
+    except ReferenceSolveError as err:
+        raise HarnessError(f"{err}: gradient norm {err.grad_norm!r} after "
+                           f"{err.iterations} iterations") from err
 
     table = {}
     artifacts = {}  # relative path -> text

@@ -5,13 +5,14 @@ analytic per-component smoothness constant L (a certified upper bound, not a
 spectral estimate).  Parameter vectors are plain float64 arrays.  The row-data
 objectives hold only their losses; rows and products come from their Dataset.
 
-The sweep's updates z -= scale * g are applied in place: `step` for a batch
-(the dense batch gradient), `row_step` for one row.  The logistic row step
-costs O(nnz) of the row and the quadratic one three ufunc calls into a
-preallocated difference; both equal `step` on that one row bitwise.  Softmax
-takes the base class's `row_step`, which is `step` on a one-row batch.  The
-quadratic's `full_value` also reuses one n-by-dim scratch array, so an
-objective is not safe to share between threads.
+The step contract: a sweep needs `batch_mean_gradient(w, ids)`, the mean
+gradient of a batch (a list of ints or a 1-D int array) at one point, and
+`row_step(z, i, scale)`, the in-place update z -= scale * g of one row, bitwise
+equal to z -= scale * batch_mean_gradient(z, [i]).  The base class computes
+exactly that; the logistic row step costs O(nnz) of the row and the quadratic
+one three ufunc calls into a preallocated difference.  The quadratic's
+`full_value` also reuses one n-by-dim scratch array, so an objective is not
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -81,14 +82,9 @@ class Objective(abc.ABC):
         g /= len(ids)
         return g
 
-    def step(self, z: np.ndarray, ids, scale: float) -> None:
-        """In place: z -= scale * batch_mean_gradient(z, ids), with `ids` a
-        list of ints or a 1-D int array."""
-        z -= scale * self.batch_mean_gradient(z, ids)
-
     def row_step(self, z: np.ndarray, i: int, scale: float) -> None:
-        """In place: the single-row step(z, [i], scale), bitwise."""
-        self.step(z, [i], scale)
+        """In place: z -= scale * batch_mean_gradient(z, [i])."""
+        z -= scale * self.batch_mean_gradient(z, [i])
 
     def accuracy(self, w: np.ndarray) -> float | None:
         """Training accuracy where defined; None for regression-style sums."""

@@ -20,14 +20,13 @@ only in that rule and in what becomes of the end point:
 Here g is the mean gradient of the batch.  A batch is a contiguous block of
 the epoch's permutation, handed to the objective as a list of Python ints,
 and all of its gradients are evaluated at the same inner iterate.  `run`
-picks the method's update rule once per run, so no step goes through a
-dispatch on the method's name.  The updates of the form "point minus scale
-times g" (nasg, nasg-pi, sgd) are applied in place: at batch size 1 the sweep
-hands each index of the order, a Python int, to `objective.row_step` with a
-step scale computed once per epoch, and larger batches go through
-`objective.step`.  A row-data row step touches only the row's columns, and a
-quadratic one skips the batch gather and mean.  sgdm and adam take g from
-`batch_mean_gradient` and update their moments in place.  Inner iterates are
+picks one of three update rules once per run, so no step goes through a
+dispatch on the method's name: sgdm and adam take g from the objective's
+`batch_mean_gradient` and update their moments in place; at batch size 1,
+nasg, nasg-pi and sgd hand each index of the order, a Python int, to
+`objective.row_step` (the step contract in `objectives`) with a scale
+computed once per epoch; larger batches apply z -= scale * g in place, with
+nasg's scale eta_t/n times the batch's length.  Inner iterates are
 written into one (blocks + 1, dim) array per epoch.  The nasg family applies
 batches with per-component step eta_t/n, so batch size 1 recovers the
 per-sample sweep exactly and batch size n recovers one full-gradient step of
@@ -41,6 +40,7 @@ reports the epoch in which it first appeared.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,11 +99,20 @@ class RunResult:
 
 
 def start_point(optimizer: str, objective, batch_size: int, x0, options: TraceOptions,
-                with_replacement: bool) -> np.ndarray:
+                with_replacement: bool, *, sgdm_beta: float, adam_beta1: float,
+                adam_beta2: float, adam_eps: float) -> np.ndarray:
     """Check `run`'s arguments against the objective and return the float64
     start point (zeros unless `x0` is given)."""
     if optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}")
+    # the moment constants are checked whatever the optimizer
+    for name, beta in (("sgdm_beta", sgdm_beta), ("adam_beta1", adam_beta1),
+                       ("adam_beta2", adam_beta2)):
+        if not 0.0 <= beta < 1.0:
+            raise ValueError(f"{name} must be in [0, 1), not {beta!r}")
+    # an exact comparison, so an integer beyond the float range is rejected too
+    if not 0.0 < adam_eps <= sys.float_info.max:
+        raise ValueError(f"adam_eps must be finite and > 0, not {adam_eps!r}")
     if not 1 <= batch_size <= objective.n:
         raise ValueError(f"batch_size must be in [1, {objective.n}]")
     if with_replacement and optimizer != "sgd":
@@ -185,7 +194,9 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
     index draws per epoch.
     """
     options = options or TraceOptions()
-    x = start_point(optimizer, objective, batch_size, x0, options, with_replacement)
+    x = start_point(optimizer, objective, batch_size, x0, options, with_replacement,
+                    sgdm_beta=sgdm_beta, adam_beta1=adam_beta1, adam_beta2=adam_beta2,
+                    adam_eps=adam_eps)
     scheme = ShufflingScheme(scheme, seed)
     n, dim, T = objective.n, objective.dim, schedule.T
     need_inner = options.record_inner or options.record_dispersion
@@ -197,12 +208,11 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
         step = _moment_step(optimizer, objective, sgdm_beta, adam_beta1, adam_beta2, adam_eps)
     elif batch_size == 1:
         step = objective.row_step
-    elif per_component:
-        def step(z, ids, scale):
-            # a batch of k components takes eta / n * k
-            objective.step(z, ids, scale * len(ids))
     else:
-        step = objective.step
+        def step(z, ids, scale):
+            # in the nasg family a batch of k components takes eta / n * k
+            z -= (scale * len(ids) if per_component else scale) \
+                * objective.batch_mean_gradient(z, ids)
     row_steps = batch_size == 1 and not moments  # the order's ints are the batches
     pi = optimizer == "nasg-pi"
 

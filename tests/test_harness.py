@@ -8,7 +8,7 @@ from shuffleopt import harness
 from shuffleopt.cli import main
 from shuffleopt.harness import (ConfigError, ExperimentConfig, HarnessError,
                                 RunSummary, emit_plot_data, run_experiment)
-from shuffleopt.objectives import make_quadratic
+from shuffleopt.objectives import ReferenceSolveError, make_quadratic
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -340,6 +340,21 @@ BAD_CONFIGS = {
     "string-dataset-with-objective-flag": {"dataset": "x"},
     "string-schedule-with-flag": {"schedule": "x"},
     "null-schedule-with-flag": {"schedule": None},
+    # JSON's NaN and Infinity
+    "nan-lr": {"schedule": {"kind": "constant", "lr": float("nan")}},
+    "infinite-lr": {"schedule": {"kind": "constant", "lr": float("inf")}},
+    "nan-grid-rate": {"grid": [float("nan"), 0.1]},
+    "nan-theta": {"schedule": {"kind": "thm2", "theta": float("nan")}},
+    "nan-sigma-sq-with-bound": {"schedule": {"kind": "thm2", "sigma_sq": float("nan")},
+                                "bounds": ["thm2"]},
+    "nan-quadratic-spread": {"dataset": {"kind": "quadratic", "spread": float("nan")}},
+    # moment constants, checked whatever the optimizer
+    "adam-beta2-above-one": {"optimizer": "adam", "adam_beta2": 1.5},
+    "adam-beta1-one": {"optimizer": "adam", "adam_beta1": 1.0},
+    "negative-adam-eps": {"optimizer": "adam", "adam_eps": -1.0},
+    "overflowing-adam-eps": {"optimizer": "adam", "adam_eps": 10**400},
+    "negative-sgdm-beta": {"optimizer": "sgdm", "sgdm_beta": -3},
+    "sgdm-beta-one-with-nasg": {"sgdm_beta": 1.0},
 }
 BAD_FLAGS = {"theta-without-thm2": ["--theta", "0.5"],
              "list-config-with-flag": ["--epochs", "3"],
@@ -348,6 +363,10 @@ BAD_FLAGS = {"theta-without-thm2": ["--theta", "0.5"],
              "string-dataset-with-objective-flag": ["--objective", "softmax"],
              "string-schedule-with-flag": ["--lr", "0.1"],
              "null-schedule-with-flag": ["--theta", "0.5"]}
+# the key that the error line names
+BAD_KEYS = {"nan-lr": "schedule.lr", "infinite-lr": "schedule.lr", "nan-grid-rate": "grid",
+            "nan-theta": "schedule.theta", "nan-sigma-sq-with-bound": "schedule.sigma_sq",
+            "nan-quadratic-spread": "dataset.spread"}
 
 
 @pytest.mark.parametrize("probe", sorted(BAD_CONFIGS))
@@ -358,7 +377,9 @@ def test_cli_rejects_config_before_any_artifact(tmp_path, capsys, probe):
     out = tmp_path / "results"
     argv = ["run", "--config", str(config_path), "--out", str(out), *BAD_FLAGS.get(probe, [])]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert BAD_KEYS.get(probe, "") in err
     assert not out.exists()
 
 
@@ -408,6 +429,23 @@ def test_overflowing_values_count_as_divergence(tmp_path, capsys):
         == [(26, 25)] * 3
     for seed in config["seeds"]:
         assert "inf" not in (out / "runs" / f"seed{seed}.csv").read_text()
+
+
+def test_failed_reference_solve_is_a_runtime_failure(tmp_path, capsys, monkeypatch):
+    def solve_reference(objective):
+        raise ReferenceSolveError("reference solve did not converge", value=0.5,
+                                  grad_norm=0.0025, iterations=1_000_000)
+
+    monkeypatch.setattr(harness, "solve_reference", solve_reference)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "dataset": {"kind": "libsvm", "path": str(FIXTURES / "scientific_values.libsvm")},
+        "reference": "solve", "epochs": 2, "seeds": [1]}))
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: reference solve did not converge: gradient "
+                                       "norm 0.0025 after 1000000 iterations\n")
+    assert not out.exists()
 
 
 def test_non_finite_summary_is_a_runtime_failure(tmp_path, capsys, monkeypatch):

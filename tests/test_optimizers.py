@@ -323,6 +323,29 @@ def test_nasg_full_batch_ig_equals_nag():
         assert np.linalg.norm(xa - xb) <= 1e-12 * max(1.0, np.linalg.norm(xb))
 
 
+@pytest.mark.parametrize("optimizer", ["nasg", "sgd"])
+def test_batch_rule_is_dense_update_bitwise(optimizer):
+    # 7 components in batches of 3: the short last batch checks the nasg
+    # family's len(ids) scaling
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(7, 4))
+    X[rng.random(size=X.shape) < 0.3] = 0.0
+    objectives = [
+        LogisticObjective(Dataset.from_dense(X, np.where(rng.random(7) < 0.5, -1.0, 1.0))),
+        SoftmaxObjective(Dataset.from_dense(X, rng.integers(0, 3, size=7), c=3)),
+        make_quadratic(7, 4, seed=2)[0],
+    ]
+    for obj in objectives:
+        x0 = rng.normal(size=obj.dim)
+        res = run(optimizer, obj, "ig", constant(0.7), batch_size=3, x0=x0)
+        eta, n = res.trace[0].step_size, obj.n
+        z = x0.copy()
+        for ids in ([0, 1, 2], [3, 4, 5], [6]):
+            s = eta / n * len(ids) if optimizer == "nasg" else eta
+            z -= s * obj.batch_mean_gradient(z, ids)
+        assert res.final_x.tobytes() == z.tobytes(), type(obj).__name__
+
+
 def test_momentum_identities_on_run():
     obj, _, _ = make_quadratic(30, 6, seed=9)
     sched = ScheduleSpec(ScheduleKind.UNIFIED, T=20, L=1.0)
@@ -354,6 +377,14 @@ def test_run_validation():
         run("sgd", obj, "rr", sched, batch_size=9)
     with pytest.raises(ValueError, match="finite"):
         run("sgd", obj, "rr", sched, x0=np.array([np.nan, 0.0]))
+    # the moment constants are checked whatever the optimizer
+    for key, value in [("sgdm_beta", -3), ("sgdm_beta", 1.0), ("adam_beta1", 1.0),
+                       ("adam_beta1", -0.1), ("adam_beta2", 1.5), ("adam_beta2", np.nan),
+                       ("adam_eps", -1.0), ("adam_eps", 0.0), ("adam_eps", np.inf),
+                       ("adam_eps", np.nan), ("adam_eps", 10**400)]:
+        for optimizer in ("sgd", "adam"):
+            with pytest.raises(ValueError, match=key):
+                run(optimizer, obj, "rr", sched, **{key: value})
 
 
 # ------------------------------------------------------------ golden runs
