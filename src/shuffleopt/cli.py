@@ -66,12 +66,10 @@ def _load_config(args) -> ExperimentConfig:
         if ds.get("kind") != "libsvm":
             raise ConfigError("--objective only applies to libsvm datasets")
         ds["objective"] = args.objective
-    for key in ("optimizer", "scheme", "epochs", "label", "out"):
+    for key in ("optimizer", "scheme", "epochs", "batch_size", "label", "out"):
         value = getattr(args, key)
         if value is not None:
             raw[key] = value
-    if args.batch_size is not None:
-        raw["batch_size"] = args.batch_size
     if args.schedule is not None:
         raw["schedule"] = {"kind": args.schedule}
     if args.lr is not None:
@@ -89,7 +87,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-    except (ConfigError, json.JSONDecodeError, OSError, ValueError) as err:
+    except (OSError, ValueError) as err:  # ConfigError and JSONDecodeError included
         print(f"error: {err}", file=sys.stderr)
         return 2
     out = config.out or "results"
@@ -101,14 +99,11 @@ def main(argv=None) -> int:
     except (HarnessError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    final = summary.per_seed[0].get("final_value")
     print(f"{summary.label}: {len(summary.per_seed)} run(s), artifacts in {out}")
     if summary.selected_lr is not None:
         print(f"selected lr: {summary.selected_lr!r}")
     if summary.value_mean:
         print(f"mean final value: {summary.value_mean[-1]!r}")
-    elif final is not None:
-        print(f"final value: {final!r}")
     if summary.degraded:
         print("warning: at least one seed diverged; summary marked degraded",
               file=sys.stderr)

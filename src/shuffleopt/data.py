@@ -7,7 +7,8 @@ One record per non-empty line::
 Feature indices are 1-based in files, strictly increasing within a line, and
 stored 0-based.  Binary labels may be written as 0/1 or -1/+1 and are mapped
 to -1/+1; multiclass labels must be integers and are re-indexed densely from
-0.  Explicit zero values are kept as written.
+0.  Explicit zero values are kept as written.  A label or value that is not
+finite (inf, nan, or beyond the float range) is rejected with its line.
 
 `Dataset` owns the row layout: it builds each entry's row id and each row's
 (columns, values) views once, and computes X @ w, X^T @ c and the squared row
@@ -16,6 +17,7 @@ norms, so no other module reads the layout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -192,6 +194,13 @@ def parse_libsvm(text, mode: str = "auto", dim: int | None = None,
     if not raw_labels:
         raise ParseError("empty input")
 
+    index_arr = np.array(indices, dtype=np.int64)
+    value_arr = np.array(values, dtype=np.float64)
+    indptr_arr = np.array(indptr, dtype=np.int64)
+    # checked on whole arrays after the token loop, so no token pays for it
+    if not (np.isfinite(raw_labels).all() and np.isfinite(value_arr).all()):
+        raise _non_finite(raw_labels, values, indptr, label_lines)
+
     d = max_index
     if dim is not None:
         if dim < max_index:
@@ -199,10 +208,6 @@ def parse_libsvm(text, mode: str = "auto", dim: int | None = None,
         d = dim
 
     labels, c = _resolve_labels(raw_labels, label_lines, mode)
-
-    index_arr = np.array(indices, dtype=np.int64)
-    value_arr = np.array(values, dtype=np.float64)
-    indptr_arr = np.array(indptr, dtype=np.int64)
 
     if scale and index_arr.size:
         peak = np.zeros(d)
@@ -219,6 +224,17 @@ def parse_libsvm(text, mode: str = "auto", dim: int | None = None,
 
     return Dataset(n=len(raw_labels), d=d, c=c, indptr=indptr_arr,
                    indices=index_arr, values=value_arr, labels=labels)
+
+
+def _non_finite(labels: list[float], values: list[float], indptr: list[int],
+                lines: list[int]) -> ParseError:
+    """The error for the first line holding a non-finite label or value."""
+    for row, label in enumerate(labels):
+        if not math.isfinite(label):
+            return ParseError(f"non-finite label {label!r}", lines[row])
+        bad = [v for v in values[indptr[row]:indptr[row + 1]] if not math.isfinite(v)]
+        if bad:
+            return ParseError(f"non-finite feature value {bad[0]!r}", lines[row])
 
 
 def _resolve_labels(raw: list[float], lines: list[int], mode: str):

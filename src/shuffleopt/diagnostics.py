@@ -44,15 +44,13 @@ def epoch_dispersion(inner_iterates) -> DispersionRecord:
     if arr.ndim != 2 or arr.shape[0] < 2:
         raise ValueError("need the start iterate plus at least one step")
     steps = arr[1:]
-    sq = np.empty_like(steps)  # one temporary for both distances
-    return DispersionRecord(_mean_sq_dist(steps, arr[0], sq), _mean_sq_dist(steps, arr[-1], sq))
-
-
-def _mean_sq_dist(steps, point, sq) -> float:
-    """Mean over the rows of ||row - point||^2, with sq as the buffer."""
-    np.subtract(steps, point, out=sq)
-    np.multiply(sq, sq, out=sq)
-    return float(sq.sum(axis=1).mean())
+    msd = []
+    for point in (arr[0], arr[-1]):
+        # squared in place: one fresh temporary per distance, not two
+        sq = steps - point
+        sq *= sq
+        msd.append(float(sq.sum(axis=1).mean()))
+    return DispersionRecord(*msd)
 
 
 @dataclass

@@ -462,14 +462,18 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
 
 
 def _bound_report(regime: str, bound: float, T: int, constants: dict, per_seed) -> dict:
-    """Each completed seed's final gap, then their mean, against the bound."""
+    """Each completed seed's final gap, then their mean, against the bound.
+
+    A diverged seed has no row; its gap is unbounded, so it leaves the report
+    unsatisfied.
+    """
     gaps = [(e["seed"], e["final_gap"]) for e in per_seed if not e["diverged"]]
     if gaps:
         gaps.append((None, sum(gap for _, gap in gaps) / len(gaps)))
     rows = [{"T": T, "seed": seed, "gap": gap, "bound": bound, "satisfied": bool(gap <= bound)}
             for seed, gap in gaps]
-    return {"regime": regime, "constants": dict(constants), "rows": rows,
-            "satisfied": all(row["satisfied"] for row in rows)}
+    satisfied = all(row["satisfied"] for row in rows) and not any(e["diverged"] for e in per_seed)
+    return {"regime": regime, "constants": dict(constants), "rows": rows, "satisfied": satisfied}
 
 
 def emit_plot_data(summaries, path, metric: str = "value"):

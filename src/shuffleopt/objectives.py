@@ -10,9 +10,9 @@ gradient of a batch (a list of ints or a 1-D int array) at one point, and
 `row_step(z, i, scale)`, the in-place update z -= scale * g of one row, bitwise
 equal to z -= scale * batch_mean_gradient(z, [i]).  The base class computes
 exactly that; the logistic row step costs O(nnz) of the row and the quadratic
-one three ufunc calls into a preallocated difference.  The quadratic's
-`full_value` also reuses one n-by-dim scratch array, so an objective is not
-safe to share between threads.
+one skips the batch gather and mean.  nag's step, z -= scale *
+full_gradient(z), and nasg-pi's in-place extrapolation need nothing more.
+Objectives keep no scratch arrays between calls.
 """
 
 from __future__ import annotations
@@ -257,8 +257,6 @@ class QuadraticObjective(Objective):
         # row_step's centers: the one-row mean turns a -0.0 entry into +0.0
         # and divides by 1 exactly; + 0.0 does the same
         self._rows = list(centers + 0.0)
-        self._row_diff = np.empty(self.dim)
-        self._diffs = np.empty_like(centers)  # full_value's scratch
 
     def component_value(self, w, i):
         diff = w - self.centers[i]
@@ -271,15 +269,12 @@ class QuadraticObjective(Objective):
         return w - self.centers[ids].mean(axis=0)
 
     def row_step(self, z, i, scale):
-        """z -= scale * (z - c_i) without the batch gather and mean, through
-        one preallocated difference."""
-        diff = np.subtract(z, self._rows[i], out=self._row_diff)
-        np.multiply(diff, scale, out=diff)
-        np.subtract(z, diff, out=z)
+        """z -= scale * (z - c_i) without the batch gather and mean."""
+        z -= scale * (z - self._rows[i])
 
     def full_value(self, w):
-        diffs = np.subtract(w, self.centers, out=self._diffs)
-        np.multiply(diffs, diffs, out=diffs)
+        diffs = w - self.centers
+        diffs *= diffs  # squared in place: one fresh temporary, not two
         return 0.5 * float(diffs.sum(axis=1).mean())
 
     def full_gradient(self, w):

@@ -11,8 +11,8 @@ only in that rule and in what becomes of the end point:
                by one extrapolation y = x_t + (t-1)/(t+2) * (x_t - x_{t-1});
 * ``nasg-pi``  same step, but the extrapolation follows every inner step
                (the per-iteration variant);
-* ``nag``      a single full-gradient step x_t = y - eta_t * grad F(y) in
-               place of the sweep, then the nasg extrapolation;
+* ``nag``      one batch standing for all n components, z -= eta_t * grad F(z)
+               from z = y, then the nasg extrapolation;
 * ``sgd``      w -= lr * g;
 * ``sgdm``     heavy-ball velocity m = beta*m + g, then w -= lr * m;
 * ``adam``     bias-corrected adaptive moments, beta1=0.9, beta2=0.999.
@@ -20,17 +20,18 @@ only in that rule and in what becomes of the end point:
 Here g is the mean gradient of the batch.  A batch is a contiguous block of
 the epoch's permutation, handed to the objective as a list of Python ints,
 and all of its gradients are evaluated at the same inner iterate.  `run`
-picks one of three update rules once per run, so no step goes through a
-dispatch on the method's name: sgdm and adam take g from the objective's
-`batch_mean_gradient` and update their moments in place; at batch size 1,
-nasg, nasg-pi and sgd hand each index of the order, a Python int, to
-`objective.row_step` (the step contract in `objectives`) with a scale
-computed once per epoch; larger batches apply z -= scale * g in place, with
-nasg's scale eta_t/n times the batch's length.  Inner iterates are
-written into one (blocks + 1, dim) array per epoch.  The nasg family applies
-batches with per-component step eta_t/n, so batch size 1 recovers the
-per-sample sweep exactly and batch size n recovers one full-gradient step of
-size eta_t.
+picks one of four update rules once per run, and each updates the sweep point
+z in place: sgdm and adam take g from `batch_mean_gradient` and update their
+moments in place; nag applies its full gradient to one batch standing for all
+n components; at batch size 1, nasg, nasg-pi and sgd hand each index of the
+order, a Python int, to `objective.row_step` (the step contract in
+`objectives`); larger batches apply z -= scale * g, with nasg's scale eta_t/n
+times the batch's length.  nasg-pi extrapolates into a spare buffer held for
+the run and rotates the names, so its extrapolation allocates nothing.
+Inner iterates are written into one (blocks + 1, dim) array per epoch.  The
+nasg family applies batches with per-component step eta_t/n, so batch size 1
+recovers the per-sample sweep exactly and batch size n recovers one
+full-gradient step of size eta_t.
 
 Divergence (a non-finite iterate) is a first-class outcome: `run`
 raises DivergenceError carrying the partial trace instead of crashing.  A
@@ -206,6 +207,10 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
     per_component = optimizer in ("nasg", "nasg-pi")  # the nasg family's step
     if moments:
         step = _moment_step(optimizer, objective, sgdm_beta, adam_beta1, adam_beta2, adam_eps)
+    elif optimizer == "nag":
+        def step(z, ids, scale):
+            # the epoch's one batch stands for all n components
+            z -= scale * objective.full_gradient(z)
     elif batch_size == 1:
         step = objective.row_step
     else:
@@ -215,6 +220,7 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
                 * objective.batch_mean_gradient(z, ids)
     row_steps = batch_size == 1 and not moments  # the order's ints are the batches
     pi = optimizer == "nasg-pi"
+    spare = np.empty(dim) if pi else None  # nasg-pi's extrapolation buffer
 
     # x is the convergence iterate and y the point each sweep starts from;
     # the baselines keep them equal
@@ -231,39 +237,35 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
         eta = epoch_step_size(schedule, t)
         gamma = (t - 1) / (t + 2)
         if optimizer == "nag":
-            order = None
-        elif with_replacement:
-            order = uniform_indices(scheme.base_seed, t, n, n)
+            order, batches = None, [None]
         else:
-            order = generate_permutation(scheme, n, t)
+            order = (uniform_indices(scheme.base_seed, t, n, n) if with_replacement
+                     else generate_permutation(scheme, n, t))
+            # the order as Python ints, cheaper to index with than numpy
+            # integers
+            perm = order.tolist()
+            batches = perm if row_steps else [perm[start:start + batch_size]
+                                              for start in range(0, n, batch_size)]
+        scale = eta / n if per_component else eta
+        z = y.copy()
+        x_step = x.copy() if pi else None  # nasg-pi's inner x; the sweep never writes x
         # let overflow produce inf/nan silently; the end-of-sweep check below
         # catches it
         with np.errstate(over="ignore", invalid="ignore"):
             inner = None
-            if optimizer == "nag":
-                z = y - eta * objective.full_gradient(y)
-            else:
-                # the order as Python ints, cheaper to index with than numpy
-                # integers
-                perm = order.tolist()
-                batches = perm if row_steps else [perm[start:start + batch_size]
-                                                  for start in range(0, n, batch_size)]
-                scale = eta / n if per_component else eta
-                z = y.copy()
-                x_step = x  # nasg-pi's inner x iterate
+            if need_inner:
+                inner = np.empty((len(batches) + 1, dim))
+                inner[0] = z
+            for block, ids in enumerate(batches, 1):
+                step(z, ids, scale)
+                if pi:
+                    # z + gamma * (z - x_step), into the spare buffer
+                    np.subtract(z, x_step, out=spare)
+                    spare *= gamma
+                    spare += z
+                    x_step, z, spare = z, spare, x_step
                 if need_inner:
-                    inner = np.empty((len(batches) + 1, dim))
-                    inner[0] = z
-                for block, ids in enumerate(batches, 1):
-                    if pi:
-                        x_new = z.copy()
-                        step(x_new, ids, scale)
-                        z = x_new + gamma * (x_new - x_step)
-                        x_step = x_new
-                    else:
-                        step(z, ids, scale)
-                    if need_inner:
-                        inner[block] = z
+                    inner[block] = z
             if not np.isfinite(z).all():
                 raise DivergenceError(f"non-finite iterate in epoch {t}", t,
                                       RunResult(trace, x.copy(), x_snaps, y_snaps,

@@ -98,6 +98,20 @@ def test_multiclass_rejects_fractional_labels():
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize("token", ["inf", "-inf", "NaN", "Infinity", "1e400"])
+def test_non_finite_label_rejected(token):
+    with pytest.raises(ParseError, match="non-finite label") as err:
+        parse_libsvm(f"+1 1:1\n\n{token} 1:2\n")
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "NaN", "nan", "-1e400"])
+def test_non_finite_value_rejected(token):
+    with pytest.raises(ParseError, match="non-finite feature value") as err:
+        parse_libsvm(f"+1 1:1\n-1 1:2 3:{token}\n+1 2:nan\n")
+    assert err.value.line == 2
+
+
 def test_round_trip_fixture_corpus(fixtures_dir):
     for name in WELL_FORMED:
         ds = load_libsvm(fixtures_dir / name)

@@ -168,6 +168,17 @@ def test_bound_reports_via_harness(tmp_path):
     assert all(row["gap"] <= row["bound"] for row in report["rows"])
 
 
+def test_bound_report_fails_when_a_seed_diverged(tmp_path):
+    # both seeds diverge in epoch 5: no gap is left to check, and an
+    # unbounded gap does not satisfy the bound
+    config = quad_config(optimizer="sgd", scheme="rr", epochs=12, seeds=[1, 2],
+                         schedule={"kind": "constant", "lr": 40.0}, bounds=["thm1"])
+    summary = run_experiment(config, tmp_path)
+    assert [e["diverged_at_epoch"] for e in summary.per_seed] == [5, 5]
+    report = summary.bounds[0]
+    assert report["rows"] == [] and report["satisfied"] is False
+
+
 def test_initial_condition_schedule_via_harness(tmp_path):
     config = quad_config(schedule={"kind": "init-cond"}, epochs=4)
     summary = run_experiment(config, tmp_path)
@@ -404,6 +415,30 @@ def test_cli_runtime_failure_writes_nothing(tmp_path, capsys, probe):
     out = tmp_path / "results"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_cli_every_seed_diverged_prints_no_final_value(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "dataset": {"kind": "quadratic", "n": 20, "d": 4, "seed": 3}, "optimizer": "sgd",
+        "schedule": {"kind": "constant", "lr": 40}, "epochs": 12, "seeds": [1, 2]}))
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"sgd-rr-constant: 2 run(s), artifacts in {out}\n"
+    assert "degraded" in captured.err
+
+
+@pytest.mark.parametrize("text", ["+1 1:1\ninf 1:2\n", "+1 1:1\n-1 1:2 2:nan\n"])
+def test_cli_rejects_non_finite_libsvm_token(tmp_path, capsys, text):
+    data = tmp_path / "data.libsvm"
+    data.write_text(text)
+    out = tmp_path / "results"
+    assert main(["run", "--dataset", str(data), "--optimizer", "sgd", "--lr", "0.1",
+                 "--epochs", "2", "--seeds", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite ") and err.endswith(" at line 2\n")
     assert not out.exists()
 
 

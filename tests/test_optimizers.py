@@ -291,6 +291,22 @@ def test_recorded_inner_iterates_are_not_aliased(optimizer, batch_size):
         [(r.disp_start, r.disp_end) for r in both.trace]
 
 
+@pytest.mark.parametrize("batch_size", [1, 3])
+def test_nasg_pi_buffers_never_alias(batch_size):
+    # lr 40 diverges mid-epoch; the partial result holds x from before that
+    # epoch, which the rotating sweep buffers must not have written
+    obj, _, _ = make_quadratic(10, 3, seed=3)
+    with pytest.raises(DivergenceError) as err:
+        run("nasg-pi", obj, "rr", constant(40.0, 80), seed=1, batch_size=batch_size,
+            options=TraceOptions(record_iterates=True, record_inner=True))
+    partial = err.value.partial
+    assert partial.final_x.tobytes() == partial.x_snapshots[-1].tobytes()
+    arrays = [partial.final_x, *partial.x_snapshots, *partial.y_snapshots,
+              *partial.inner_iterates]
+    assert len(arrays) > 100
+    assert not any(np.shares_memory(a, b) for k, a in enumerate(arrays) for b in arrays[k + 1:])
+
+
 def test_dispersion_of_a_huge_epoch_is_silent():
     # lr 40 amplifies 39x per step: the iterates stay finite for 40 epochs,
     # but their squared distances overflow
