@@ -44,10 +44,10 @@ def epoch_dispersion(inner_iterates) -> DispersionRecord:
     if arr.ndim != 2 or arr.shape[0] < 2:
         raise ValueError("need the start iterate plus at least one step")
     steps = arr[1:]
+    sq = np.empty_like(steps)  # one temporary for both distances, squared in place
     msd = []
     for point in (arr[0], arr[-1]):
-        # squared in place: one fresh temporary per distance, not two
-        sq = steps - point
+        np.subtract(steps, point, out=sq)
         sq *= sq
         msd.append(float(sq.sum(axis=1).mean()))
     return DispersionRecord(*msd)

@@ -62,5 +62,7 @@ MALFORMED = {
     "missing_colon.libsvm": ("malformed feature entry", 1),
     "empty.libsvm": ("empty input", None),
     "duplicate_index.libsvm": ("non-increasing feature index", 1),
+    "non_finite_label.libsvm": ("non-finite label inf", 2),
+    "non_finite_value.libsvm": ("non-finite feature value nan", 2),
     "bad_index.libsvm": ("malformed feature index", 1),
 }
