@@ -168,15 +168,31 @@ def test_bound_reports_via_harness(tmp_path):
     assert all(row["gap"] <= row["bound"] for row in report["rows"])
 
 
-def test_bound_report_fails_when_a_seed_diverged(tmp_path):
-    # both seeds diverge in epoch 5: no gap is left to check, and an
-    # unbounded gap does not satisfy the bound
-    config = quad_config(optimizer="sgd", scheme="rr", epochs=12, seeds=[1, 2],
-                         schedule={"kind": "constant", "lr": 40.0}, bounds=["thm1"])
-    summary = run_experiment(config, tmp_path)
-    assert [e["diverged_at_epoch"] for e in summary.per_seed] == [5, 5]
-    report = summary.bounds[0]
-    assert report["rows"] == [] and report["satisfied"] is False
+def test_bound_report_fails_when_every_seed_diverged(tmp_path, capsys):
+    # both seeds diverge in epoch 5: no gap is left to check, an unbounded gap
+    # does not satisfy the bound, and no final value is printed
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "dataset": {"kind": "quadratic", "n": 20, "d": 4, "seed": 3}, "optimizer": "sgd",
+        "schedule": {"kind": "constant", "lr": 40}, "epochs": 12, "seeds": [1, 2],
+        "bounds": ["thm1"]}))
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"sgd-rr-constant: 2 run(s), artifacts in {out}\n"
+    assert "degraded" in captured.err
+    summary = json.loads((out / "summary.json").read_text())
+    assert [e["diverged_at_epoch"] for e in summary["per_seed"]] == [5, 5]
+    assert summary["bounds"][0]["rows"] == [] and summary["bounds"][0]["satisfied"] is False
+
+
+def test_bound_report_keeps_completed_rows_when_a_seed_diverged():
+    per_seed = [{"seed": 1, "diverged": False, "final_gap": 0.5},
+                {"seed": 2, "diverged": True, "final_gap": 1e300}]
+    report = harness._bound_report("thm1", 1.0, 8, {"L": 1.0}, per_seed)
+    assert [(row["seed"], row["gap"], row["satisfied"]) for row in report["rows"]] \
+        == [(1, 0.5, True), (None, 0.5, True)]
+    assert report["satisfied"] is False
 
 
 def test_initial_condition_schedule_via_harness(tmp_path):
@@ -419,18 +435,6 @@ def test_cli_runtime_failure_writes_nothing(tmp_path, capsys, probe):
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
-
-
-def test_cli_every_seed_diverged_prints_no_final_value(tmp_path, capsys):
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({
-        "dataset": {"kind": "quadratic", "n": 20, "d": 4, "seed": 3}, "optimizer": "sgd",
-        "schedule": {"kind": "constant", "lr": 40}, "epochs": 12, "seeds": [1, 2]}))
-    out = tmp_path / "results"
-    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == f"sgd-rr-constant: 2 run(s), artifacts in {out}\n"
-    assert "degraded" in captured.err
 
 
 def _strict_json(text):
