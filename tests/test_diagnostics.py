@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -162,3 +163,48 @@ def test_fit_rate_errors():
         fit_rate([(2, 1.0), (4, 0.5), (8, 0.0)])
     with pytest.raises(ValueError, match="distinct"):
         fit_rate([(2, 1.0), (2, 0.5), (8, 0.1)])
+
+
+def bound_digest() -> str:
+    """sha256 of the repr of every regime's bound over a grid of T, L, the
+    variances, delta, theta, n and e_sq."""
+    lines = []
+    for regime in ("thm1", "thm2", "thm3", "init-cond"):
+        for T in (2, 5, 64):
+            for L in (0.25, 1.0, 9.5):
+                for s in (0.0, 1.3):
+                    for delta in (0.0, 2.7):
+                        for theta in (0.0, 0.5, 4.0):
+                            for n in (1, 16, 50):
+                                for e_sq in (None, 3.1):
+                                    lines.append(repr(convergence_bound(
+                                        regime, T, L=L, sigma_star_sq=s, delta=delta,
+                                        theta=theta, sigma_sq=s + 0.5, n=n, e_sq=e_sq)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# a bound that moves by one bit changes the digest; a change that keeps every
+# operand and its order keeps it
+BOUND_DIGEST = "f98a6fe9dc282eacaad9ef0cfd12459bd6b7f0b10336608fa010a76e5e0b37b2"
+
+
+def test_bounds_bitwise():
+    assert bound_digest() == BOUND_DIGEST
+
+
+@pytest.mark.parametrize("regime", ["thm1", "thm2", "thm3", "init-cond"])
+def test_bound_rejects_what_the_schedule_rejects(regime):
+    # every (T, L, theta, n) the regime's step-size schedule refuses has no bound
+    rejected = 0
+    for T in (1, 2, 8):
+        for L in (None, -1.0, 0.0, 1.0):
+            for theta in (None, -0.5, 0.0):
+                for n in (None, 0, 5):
+                    try:
+                        ScheduleSpec(regime, T, L=L, theta=theta, n=n)
+                    except ValueError:
+                        rejected += 1
+                        with pytest.raises(ValueError):
+                            convergence_bound(regime, T, L=L, sigma_star_sq=1.0, delta=1.0,
+                                              theta=theta, sigma_sq=1.0, n=n)
+    assert rejected > 0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from decimal import Decimal, getcontext
 
@@ -90,3 +91,26 @@ def test_k_relationships():
     assert variance0.k == pytest.approx(1.0 / (math.e * unified.alpha * 14.0 ** (1 / 3)),
                                         rel=1e-15)
     assert unified.k == pytest.approx(1.0 / (math.e * unified.alpha * CBRT12), rel=1e-15)
+
+
+def step_size_digest() -> str:
+    """sha256 of the repr of every eta_t of every guarantee kind over a grid
+    of T, L, theta and n."""
+    lines = []
+    for kind in ("thm1", "thm2", "thm3", "init-cond"):
+        for T in (2, 3, 7, 16, 100):
+            for L in (0.5, 1.0, 7.3):
+                for theta in (0.0, 0.5, 3.0):
+                    for n in (1, 50, 81):
+                        spec = ScheduleSpec(kind, T=T, L=L, theta=theta, n=n)
+                        lines += [repr(epoch_step_size(spec, t)) for t in range(1, T + 1)]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# a step size that moves by one bit changes the digest; a change that keeps
+# every operand and its order keeps it
+STEP_SIZE_DIGEST = "ebeaf7da41c3829542d06f704ec9a30668a5f273efa58edebe04765db50139ed"
+
+
+def test_step_sizes_bitwise():
+    assert step_size_digest() == STEP_SIZE_DIGEST
