@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .schedules import CBRT12, ScheduleKind
+from .schedules import ScheduleKind, ScheduleSpec
 
 if TYPE_CHECKING:
     from .optimizers import RunResult
@@ -91,14 +91,14 @@ def convergence_bound(regime, T: int, *, L: float, sigma_star_sq: float | None =
 
     with s* = sigma_star_sq, s = sigma_sq, delta the squared distance of the
     start from the minimizer, and E^2 >= delta * n (defaulted to equality).
+    The regime's `ScheduleSpec` checks T, L, theta and init-cond's n and
+    supplies the cube root, so a bound is refused wherever its schedule is;
+    thm3's bound also needs n.
     """
     regime = ScheduleKind(regime)
     if regime is ScheduleKind.CONSTANT:
         raise ValueError("no closed-form guarantee for constant steps")
-    if T < 2:
-        raise ValueError("guarantees require T >= 2")
-    if L is None or L <= 0:
-        raise ValueError("L must be positive")
+    spec = ScheduleSpec(regime, T, L=L, theta=theta, n=n)
 
     def need(value, name):
         if value is None:
@@ -107,30 +107,22 @@ def convergence_bound(regime, T: int, *, L: float, sigma_star_sq: float | None =
             raise ValueError(f"{name} must be >= 0")
         return value
 
+    if regime is ScheduleKind.INITIAL:
+        s = need(sigma_star_sq, "sigma_star_sq")
+        if e_sq is None:
+            e_sq = need(delta, "delta (or e_sq)") * n
+        scale = n ** 0.75 * T
+        return 4.0 * s / (9.0 * L * scale) + 2.0 * L * e_sq * _E * spec.root / scale
+    s = need(sigma_sq, "sigma_sq") if regime is ScheduleKind.VARIANCE \
+        else need(sigma_star_sq, "sigma_star_sq")
+    bias = 2.0 * L * _E * spec.root * need(delta, "delta") / T
     if regime is ScheduleKind.UNIFIED:
-        s = need(sigma_star_sq, "sigma_star_sq")
-        d = need(delta, "delta")
-        return 4.0 * s / (9.0 * L * T) + 2.0 * L * _E * CBRT12 * d / T
+        return 4.0 * s / (9.0 * L * T) + bias
     if regime is ScheduleKind.VARIANCE:
-        s = need(sigma_sq, "sigma_sq")
-        th = need(theta, "theta")
-        d = need(delta, "delta")
-        root = (2.0 * (6.0 * th + 7.0)) ** (1.0 / 3.0)
-        return 8.0 * s / (3.0 * (6.0 * th + 7.0) * L * T) + 2.0 * L * _E * root * d / T
-    if regime is ScheduleKind.RANDOMIZED:
-        s = need(sigma_star_sq, "sigma_star_sq")
-        d = need(delta, "delta")
-        if n is None or n < 1:
-            raise ValueError("thm3 bound requires the component count n")
-        return 8.0 * s / (27.0 * n * L * T) + 2.0 * L * _E * CBRT12 * d / T
-    # init-cond
-    s = need(sigma_star_sq, "sigma_star_sq")
+        return 8.0 * s / (3.0 * (6.0 * theta + 7.0) * L * T) + bias
     if n is None or n < 1:
-        raise ValueError("init-cond bound requires the component count n")
-    if e_sq is None:
-        e_sq = need(delta, "delta (or e_sq)") * n
-    scale = n ** 0.75 * T
-    return 4.0 * s / (9.0 * L * scale) + 2.0 * L * e_sq * _E * CBRT12 / scale
+        raise ValueError("thm3 bound requires the component count n")
+    return 8.0 * s / (27.0 * n * L * T) + bias
 
 
 @dataclass

@@ -243,12 +243,9 @@ def _make_schedule(config: ExperimentConfig, objective, lr, T) -> ScheduleSpec:
     kind = ScheduleKind(config.schedule["kind"])
     if kind is ScheduleKind.CONSTANT:
         return ScheduleSpec(kind, T, lr=float(lr))
-    L = objective.smoothness_bound()
-    if kind is ScheduleKind.VARIANCE:
-        return ScheduleSpec(kind, T, L=L, theta=float(config.schedule.get("theta", 0.0)))
-    if kind is ScheduleKind.INITIAL:
-        return ScheduleSpec(kind, T, L=L, n=objective.n)
-    return ScheduleSpec(kind, T, L=L)
+    # every guarantee-backed kind gets the same constants and reads what it needs
+    return ScheduleSpec(kind, T, L=objective.smoothness_bound(),
+                        theta=float(config.schedule.get("theta", 0.0)), n=objective.n)
 
 
 def _finite(row) -> bool:
@@ -256,7 +253,7 @@ def _finite(row) -> bool:
                for x in (row.value, row.grad_sq_norm, row.disp_start, row.disp_end))
 
 
-def _runs(table: dict, key, config: ExperimentConfig, objective, schedules, options) -> list:
+def _runs(table: dict, key, config: ExperimentConfig, objective, schedules, run_args) -> list:
     """The table entry for key = (lr, T): per seed, the result and the epoch of
     divergence (None if the run completed).  Each entry runs once.
 
@@ -268,12 +265,8 @@ def _runs(table: dict, key, config: ExperimentConfig, objective, schedules, opti
         table[key] = []
         for seed in config.seeds:
             try:
-                result, bad = run(
-                    config.optimizer, objective, config.scheme, schedules[key], seed=seed,
-                    batch_size=config.batch_size, x0=config.x0, options=options,
-                    sgdm_beta=config.sgdm_beta, adam_beta1=config.adam_beta1,
-                    adam_beta2=config.adam_beta2, adam_eps=config.adam_eps,
-                    with_replacement=config.with_replacement), None
+                result, bad = run(config.optimizer, objective, config.scheme, schedules[key],
+                                  seed=seed, **run_args), None
             except DivergenceError as err:
                 result, bad = err.partial, err.epoch
             k = next((k for k, row in enumerate(result.trace) if not _finite(row)), None)
@@ -333,12 +326,14 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
         rates = config.grid if config.grid is not None else (config.schedule.get("lr"),)
         schedules = {(lr, T): _make_schedule(config, objective, lr, T) for lr in rates
                      for T in (config.epochs, *(config.rate_epochs or ()))}
-        options = TraceOptions(record_accuracy=config.record_accuracy,
-                               record_dispersion=config.record_dispersion)
-        x0 = start_point(config.optimizer, objective, config.batch_size, config.x0, options,
-                         config.with_replacement, sgdm_beta=config.sgdm_beta,
-                         adam_beta1=config.adam_beta1, adam_beta2=config.adam_beta2,
-                         adam_eps=config.adam_eps)
+        # the arguments every run shares, checked once here
+        run_args = dict(batch_size=config.batch_size, x0=config.x0,
+                        options=TraceOptions(record_accuracy=config.record_accuracy,
+                                             record_dispersion=config.record_dispersion),
+                        with_replacement=config.with_replacement, sgdm_beta=config.sgdm_beta,
+                        adam_beta1=config.adam_beta1, adam_beta2=config.adam_beta2,
+                        adam_eps=config.adam_eps)
+        x0 = start_point(config.optimizer, objective, **run_args)
         if ref is None and config.bounds:
             raise ConfigError("bound reports need a reference (minimizer oracle)")
         if ref is None and config.rate_epochs:
@@ -377,7 +372,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
     if config.grid is not None:
         grid_rows = []
         for grid_lr in config.grid:
-            runs = _runs(table, (grid_lr, config.epochs), config, objective, schedules, options)
+            runs = _runs(table, (grid_lr, config.epochs), config, objective, schedules, run_args)
             finals = [result.final_value for result, bad in runs if bad is None]
             grid_rows.append({"lr": grid_lr, "diverged": any(bad is not None for _, bad in runs),
                               "mean_final_value": (sum(finals) / len(finals)) if finals else None})
@@ -392,7 +387,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
 
     per_seed = []
     completed = []
-    primary = _runs(table, (lr, config.epochs), config, objective, schedules, options)
+    primary = _runs(table, (lr, config.epochs), config, objective, schedules, run_args)
     for (result, bad_epoch), seed in zip(primary, config.seeds):
         trace = result.trace
         entry = {
@@ -433,7 +428,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
     if config.rate_epochs:
         gaps = []
         for T in config.rate_epochs:
-            runs = _runs(table, (lr, T), config, objective, schedules, options)
+            runs = _runs(table, (lr, T), config, objective, schedules, run_args)
             for (_, bad), seed in zip(runs, config.seeds):
                 if bad is not None:
                     raise HarnessError(f"rate sweep diverged at T={T}, seed={seed}")

@@ -99,8 +99,8 @@ class RunResult:
         return self.trace[-1].value
 
 
-def start_point(optimizer: str, objective, batch_size: int, x0, options: TraceOptions,
-                with_replacement: bool, *, sgdm_beta: float, adam_beta1: float,
+def start_point(optimizer: str, objective, *, batch_size: int, x0, options: TraceOptions,
+                with_replacement: bool, sgdm_beta: float, adam_beta1: float,
                 adam_beta2: float, adam_eps: float) -> np.ndarray:
     """Check `run`'s arguments against the objective and return the float64
     start point (zeros unless `x0` is given)."""
@@ -195,9 +195,9 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
     index draws per epoch.
     """
     options = options or TraceOptions()
-    x = start_point(optimizer, objective, batch_size, x0, options, with_replacement,
-                    sgdm_beta=sgdm_beta, adam_beta1=adam_beta1, adam_beta2=adam_beta2,
-                    adam_eps=adam_eps)
+    x = start_point(optimizer, objective, batch_size=batch_size, x0=x0, options=options,
+                    with_replacement=with_replacement, sgdm_beta=sgdm_beta,
+                    adam_beta1=adam_beta1, adam_beta2=adam_beta2, adam_eps=adam_eps)
     scheme = ShufflingScheme(scheme, seed)
     n, dim, T = objective.n, objective.dim, schedule.T
     need_inner = options.record_inner or options.record_dispersion

@@ -43,8 +43,8 @@ class ScheduleSpec:
     T: int
     L: float | None = None        # smoothness bound, required unless constant
     lr: float | None = None       # constant step, required for kind = constant
-    theta: float | None = None    # variance-bound constant, thm2 only
-    n: int | None = None          # component count, init-cond only
+    theta: float | None = None    # variance-bound constant, read by thm2 only
+    n: int | None = None          # component count, read by init-cond only
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ScheduleKind(self.kind))
@@ -68,15 +68,20 @@ class ScheduleSpec:
         return 1.0 + 1.0 / self.T
 
     @property
+    def root(self) -> float:
+        """The cube root in k, shared with the regime's bound in
+        `diagnostics.convergence_bound`."""
+        if self.kind is ScheduleKind.VARIANCE:
+            return (2.0 * (6.0 * self.theta + 7.0)) ** (1.0 / 3.0)
+        return CBRT12
+
+    @property
     def k(self) -> float:
         if self.kind is ScheduleKind.CONSTANT:
             raise ScheduleError("constant schedule has no k")
-        if self.kind is ScheduleKind.VARIANCE:
-            root = (2.0 * (6.0 * self.theta + 7.0)) ** (1.0 / 3.0)
-            return 1.0 / (math.e * self.alpha * root)
         if self.kind is ScheduleKind.INITIAL:
-            return 1.0 / (math.e * self.alpha * self.n ** 0.25 * CBRT12)
-        return 1.0 / (math.e * self.alpha * CBRT12)
+            return 1.0 / (math.e * self.alpha * self.n ** 0.25 * self.root)
+        return 1.0 / (math.e * self.alpha * self.root)
 
 
 def epoch_step_size(spec: ScheduleSpec, t: int) -> float:
