@@ -16,6 +16,8 @@ re-running the same config reproduces every artifact byte for byte.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import numbers
@@ -121,6 +123,10 @@ class ExperimentConfig:
             setattr(self, key, tuple(value))
             for entry in getattr(self, key):
                 _check_type(f"{key} entry", entry, allowed)
+            # a repeated seed, rate or regime would copy a run, a grid row or a report
+            entries = getattr(self, key)
+            if key in ("seeds", "grid", "bounds") and len(set(entries)) != len(entries):
+                raise ConfigError(f"{key} entries must be distinct, not {list(entries)!r}")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
         if self.optimizer not in OPTIMIZERS:
@@ -280,15 +286,21 @@ def _fmt(x) -> str:
     return "" if x is None else repr(float(x))
 
 
+def _csv(header: str, rows) -> str:
+    """CSV text, one line per row; a field holding a comma, quote or line
+    break is quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header.split(","))
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _trace_csv(trace, f_star) -> str:
-    lines = [_CSV_HEADER]
-    for row in trace:
-        gap = None if f_star is None else row.value - f_star
-        lines.append(",".join([
-            str(row.epoch), _fmt(row.value), _fmt(row.grad_sq_norm), _fmt(row.step_size),
-            _fmt(gap), _fmt(row.accuracy), _fmt(row.disp_start), _fmt(row.disp_end),
-        ]))
-    return "\n".join(lines) + "\n"
+    return _csv(_CSV_HEADER, ([
+        str(row.epoch), _fmt(row.value), _fmt(row.grad_sq_norm), _fmt(row.step_size),
+        _fmt(None if f_star is None else row.value - f_star), _fmt(row.accuracy),
+        _fmt(row.disp_start), _fmt(row.disp_end)] for row in trace))
 
 
 def _write_text(path: Path, text: str):
@@ -297,14 +309,26 @@ def _write_text(path: Path, text: str):
         fh.write(text)
 
 
+def _mean_half(arr: np.ndarray):
+    """Per-column mean and 95% half-width over the rows of arr."""
+    if arr.shape[0] < 2:
+        return arr.mean(axis=0), np.zeros(arr.shape[1])
+    return arr.mean(axis=0), 1.96 * arr.std(axis=0, ddof=1) / math.sqrt(arr.shape[0])
+
+
 def _mean_ci(series: list[list[float]]):
+    """Mean and 95% band per epoch.  A column whose sum or squares overflow
+    is recomputed from its values scaled into [-1, 1]; a band whose bounds
+    leave the float range stays infinite and fails the summary."""
     arr = np.array(series, dtype=np.float64)
-    mean = arr.mean(axis=0)
-    if arr.shape[0] >= 2:
-        half = 1.96 * arr.std(axis=0, ddof=1) / math.sqrt(arr.shape[0])
-    else:
-        half = np.zeros(arr.shape[1])
-    return mean.tolist(), (mean - half).tolist(), (mean + half).tolist()
+    with np.errstate(over="ignore"):
+        mean, half = _mean_half(arr)
+        bad = ~(np.isfinite(mean) & np.isfinite(half))
+        if bad.any():
+            top = np.abs(arr[:, bad]).max(axis=0)
+            scaled_mean, scaled_half = _mean_half(arr[:, bad] / top)
+            mean[bad], half[bad] = scaled_mean * top, scaled_half * top
+        return mean.tolist(), (mean - half).tolist(), (mean + half).tolist()
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
@@ -479,7 +503,7 @@ def emit_plot_data(summaries, path, metric: str = "value"):
     """
     if metric not in ("value", "gap", "accuracy"):
         raise ValueError(f"unknown metric {metric!r}")
-    lines = ["method,epoch,mean,ci_low,ci_high,metric"]
+    rows = []
     for summary in summaries:
         series = {
             "value": (summary.value_mean, summary.value_ci_low, summary.value_ci_high),
@@ -491,5 +515,5 @@ def emit_plot_data(summaries, path, metric: str = "value"):
         if mean is None:
             raise ValueError(f"summary {summary.label!r} has no {metric} series")
         for epoch, (m, l, h) in enumerate(zip(mean, lo, hi), start=1):
-            lines.append(f"{summary.label},{epoch},{_fmt(m)},{_fmt(l)},{_fmt(h)},{metric}")
-    _write_text(Path(path), "\n".join(lines) + "\n")
+            rows.append([summary.label, epoch, _fmt(m), _fmt(l), _fmt(h), metric])
+    _write_text(Path(path), _csv("method,epoch,mean,ci_low,ci_high,metric", rows))

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +276,17 @@ def test_emit_plot_data_rows_and_gap_check(tmp_path):
     assert float(row[2]) == pytest.approx(res.trace[0].value - f_star, rel=1e-15)
 
 
+def test_emit_plot_data_quotes_a_label_with_a_comma(tmp_path):
+    summary = run_experiment(quad_config(label='nasg, "rr"', epochs=3), tmp_path / "runs")
+    path = tmp_path / "plot.csv"
+    emit_plot_data([summary], path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["method", "epoch", "mean", "ci_low", "ci_high", "metric"]
+    assert [row[:2] for row in rows[1:]] == [['nasg, "rr"', str(t)] for t in (1, 2, 3)]
+    assert all(len(row) == 6 for row in rows)
+
+
 def test_emit_plot_data_missing_metric(tmp_path):
     config = quad_config(reference="none")
     summary = run_experiment(config, tmp_path / "runs")
@@ -384,6 +397,10 @@ BAD_CONFIGS = {
     "overflowing-adam-eps": {"optimizer": "adam", "adam_eps": 10**400},
     "negative-sgdm-beta": {"optimizer": "sgdm", "sgdm_beta": -3},
     "sgdm-beta-one-with-nasg": {"sgdm_beta": 1.0},
+    # a repeated entry would copy a run, a grid row or a bound report
+    "duplicate-seeds": {"seeds": [1, 1]},
+    "duplicate-grid-rate": {"grid": [0.1, 0.1]},
+    "duplicate-bound-regime": {"bounds": ["thm1", "thm1"]},
 }
 BAD_FLAGS = {"theta-without-thm2": ["--theta", "0.5"],
              "list-config-with-flag": ["--epochs", "3"],
@@ -459,6 +476,34 @@ def test_overflowing_values_count_as_divergence(tmp_path, capsys):
         == [(26, 25)] * 3
     for seed in config["seeds"]:
         assert "inf" not in (out / "runs" / f"seed{seed}.csv").read_text()
+
+
+@pytest.mark.filterwarnings("error")
+def test_band_over_huge_finite_values(tmp_path, capsys):
+    # every seed completes with final values near 5e254, whose squares overflow
+    config = {"dataset": {"kind": "quadratic", "n": 20, "d": 4, "seed": 3}, "optimizer": "sgd",
+              "schedule": {"kind": "constant", "lr": 40}, "epochs": 4, "seeds": [1, 2, 3],
+              "bounds": ["thm1"]}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = _strict_json((out / "summary.json").read_text())
+    assert summary["degraded"] is False
+    for key in ("value", "gap"):
+        low, mean, high = (summary[f"{key}_{part}"] for part in ("ci_low", "mean", "ci_high"))
+        assert all(math.isfinite(x) for x in low + mean + high)
+        assert all(lo <= m <= hi for lo, m, hi in zip(low, mean, high))
+    assert 1e254 < summary["value_mean"][-1] < 1e255
+
+
+@pytest.mark.filterwarnings("error")
+def test_band_beyond_the_float_range_stays_infinite():
+    mean, low, high = harness._mean_ci([[1.7e308, 1.0], [-1.7e308, 3.0]])
+    assert mean == [0.0, 2.0]
+    assert low[0] == -math.inf and high[0] == math.inf
+    assert (low[1], high[1]) == pytest.approx((2.0 - 1.96, 2.0 + 1.96), rel=1e-15)
 
 
 def test_failed_reference_solve_is_a_runtime_failure(tmp_path, capsys, monkeypatch):
