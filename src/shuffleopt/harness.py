@@ -120,11 +120,11 @@ class ExperimentConfig:
                 continue
             if isinstance(value, (str, dict)) or not isinstance(value, Iterable):
                 raise ConfigError(f"{key} must be a list, not {value!r}")
-            setattr(self, key, tuple(value))
-            for entry in getattr(self, key):
+            entries = tuple(value)
+            setattr(self, key, entries)
+            for entry in entries:
                 _check_type(f"{key} entry", entry, allowed)
             # a repeated seed, rate or regime would copy a run, a grid row or a report
-            entries = getattr(self, key)
             if key in ("seeds", "grid", "bounds") and len(set(entries)) != len(entries):
                 raise ConfigError(f"{key} entries must be distinct, not {list(entries)!r}")
         if not self.seeds:
