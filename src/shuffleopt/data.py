@@ -9,6 +9,8 @@ stored 0-based.  Binary labels may be written as 0/1 or -1/+1 and are mapped
 to -1/+1; multiclass labels must be integers and are re-indexed densely from
 0.  Explicit zero values are kept as written.  A label or value that is not
 finite (inf, nan, or beyond the float range) is rejected with its line.
+Every number is checked as it is read, so the error names the first fault in
+file order.
 
 `Dataset` owns the row layout: it builds each entry's row id and each row's
 (columns, values) views once, and computes X @ w, X^T @ c and the squared row
@@ -165,6 +167,8 @@ def parse_libsvm(text, mode: str = "auto", dim: int | None = None,
             label = float(tokens[0])
         except ValueError:
             raise ParseError(f"malformed label {tokens[0]!r}", lineno) from None
+        if not math.isfinite(label):
+            raise ParseError(f"non-finite label {label!r}", lineno)
         previous = 0
         for token in tokens[1:]:
             head, sep, tail = token.partition(":")
@@ -182,6 +186,8 @@ def parse_libsvm(text, mode: str = "auto", dim: int | None = None,
                 raise ParseError(f"feature index must be >= 1, got {index}", lineno)
             if index <= previous:
                 raise ParseError("non-increasing feature index", lineno)
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite feature value {value!r}", lineno)
             previous = index
             if index > max_index:
                 max_index = index
@@ -197,9 +203,6 @@ def parse_libsvm(text, mode: str = "auto", dim: int | None = None,
     index_arr = np.array(indices, dtype=np.int64)
     value_arr = np.array(values, dtype=np.float64)
     indptr_arr = np.array(indptr, dtype=np.int64)
-    # checked on whole arrays after the token loop, so no token pays for it
-    if not (np.isfinite(raw_labels).all() and np.isfinite(value_arr).all()):
-        raise _non_finite(raw_labels, values, indptr, label_lines)
 
     d = max_index
     if dim is not None:
@@ -224,17 +227,6 @@ def parse_libsvm(text, mode: str = "auto", dim: int | None = None,
 
     return Dataset(n=len(raw_labels), d=d, c=c, indptr=indptr_arr,
                    indices=index_arr, values=value_arr, labels=labels)
-
-
-def _non_finite(labels: list[float], values: list[float], indptr: list[int],
-                lines: list[int]) -> ParseError:
-    """The error for the first line holding a non-finite label or value."""
-    for row, label in enumerate(labels):
-        if not math.isfinite(label):
-            return ParseError(f"non-finite label {label!r}", lines[row])
-        bad = [v for v in values[indptr[row]:indptr[row + 1]] if not math.isfinite(v)]
-        if bad:
-            return ParseError(f"non-finite feature value {bad[0]!r}", lines[row])
 
 
 def _resolve_labels(raw: list[float], lines: list[int], mode: str):

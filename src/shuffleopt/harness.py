@@ -73,9 +73,15 @@ def _check_type(name: str, value, allowed):
     if isinstance(value, bool) != (bool in allowed) or not isinstance(value, allowed):
         names = " or ".join(_TYPE_NAMES[t] for t in allowed)
         raise ConfigError(f"{name} must be {names}, not {value!r}")
-    # JSON's NaN and Infinity; integers are exact, however large
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, not {value!r}")
+    # a real is finite: not JSON's NaN or Infinity, nor an integer beyond the
+    # float range; integer-typed values stay exact, however large
+    if _REAL in allowed:
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError(f"{name} must be finite, not {value!r}")
 
 
 def _check_entries(name: str, raw: dict, types: dict):
@@ -234,9 +240,9 @@ def build_objective(config: ExperimentConfig):
         objective = make_quadratic(int(ds["n"]), int(ds["d"]), int(ds["seed"]),
                                    float(ds["spread"]))[0]
     else:
-        dataset = load_libsvm(ds["path"], mode=ds.get("mode", "auto"),
-                              dim=ds.get("dim"), add_bias=bool(ds.get("add_bias", False)),
-                              scale=bool(ds.get("scale", False)))
+        # the loader's own signature states the defaults
+        dataset = load_libsvm(ds["path"], **{key: ds[key] for key in
+                                             ("mode", "dim", "add_bias", "scale") if key in ds})
         objective = LogisticObjective(dataset) if ds.get("objective", "logistic") == "logistic" \
             else SoftmaxObjective(dataset)
     # "auto" means the closed form, which only quadratics have
@@ -309,25 +315,20 @@ def _write_text(path: Path, text: str):
         fh.write(text)
 
 
-def _mean_half(arr: np.ndarray):
-    """Per-column mean and 95% half-width over the rows of arr."""
-    if arr.shape[0] < 2:
-        return arr.mean(axis=0), np.zeros(arr.shape[1])
-    return arr.mean(axis=0), 1.96 * arr.std(axis=0, ddof=1) / math.sqrt(arr.shape[0])
-
-
 def _mean_ci(series: list[list[float]]):
-    """Mean and 95% band per epoch.  A column whose sum or squares overflow
-    is recomputed from its values scaled into [-1, 1]; a band whose bounds
-    leave the float range stays infinite and fails the summary."""
+    """Mean and 95% band per epoch, in one pass.  Each column is divided by
+    2**(e-1), where e is the frexp exponent of its largest magnitude, so its
+    sum and squares stay in range; scaling by a power of two is exact, and the
+    mean and half-width are scaled back.  A band whose bounds leave the float
+    range stays infinite and fails the summary."""
     arr = np.array(series, dtype=np.float64)
+    e = np.frexp(np.abs(arr).max(axis=0))[1] - 1
+    scaled = np.ldexp(arr, -e)
+    mean = scaled.mean(axis=0)
+    half = np.zeros(arr.shape[1]) if arr.shape[0] < 2 else \
+        1.96 * scaled.std(axis=0, ddof=1) / math.sqrt(arr.shape[0])
     with np.errstate(over="ignore"):
-        mean, half = _mean_half(arr)
-        bad = ~(np.isfinite(mean) & np.isfinite(half))
-        if bad.any():
-            top = np.abs(arr[:, bad]).max(axis=0)
-            scaled_mean, scaled_half = _mean_half(arr[:, bad] / top)
-            mean[bad], half[bad] = scaled_mean * top, scaled_half * top
+        mean, half = np.ldexp(mean, e), np.ldexp(half, e)
         return mean.tolist(), (mean - half).tolist(), (mean + half).tolist()
 
 

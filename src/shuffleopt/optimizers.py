@@ -26,8 +26,9 @@ moments in place; nag applies its full gradient to one batch standing for all
 n components; at batch size 1, nasg, nasg-pi and sgd hand each index of the
 order, a Python int, to `objective.row_step` (the step contract in
 `objectives`); larger batches apply z -= scale * g, with nasg's scale eta_t/n
-times the batch's length.  nasg-pi extrapolates into a spare buffer held for
-the run and rotates the names, so its extrapolation allocates nothing.
+times the batch's length.  nasg-pi extrapolates into the buffer of the inner
+x it replaces and swaps the two names, so its extrapolation allocates
+nothing.
 Inner iterates are written into one (blocks + 1, dim) array per epoch.  The
 nasg family applies batches with per-component step eta_t/n, so batch size 1
 recovers the per-sample sweep exactly and batch size n recovers one
@@ -220,7 +221,6 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
                 * objective.batch_mean_gradient(z, ids)
     row_steps = batch_size == 1 and not moments  # the order's ints are the batches
     pi = optimizer == "nasg-pi"
-    spare = np.empty(dim) if pi else None  # nasg-pi's extrapolation buffer
 
     # x is the convergence iterate and y the point each sweep starts from;
     # the baselines keep them equal
@@ -259,11 +259,12 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
             for block, ids in enumerate(batches, 1):
                 step(z, ids, scale)
                 if pi:
-                    # z + gamma * (z - x_step), into the spare buffer
-                    np.subtract(z, x_step, out=spare)
-                    spare *= gamma
-                    spare += z
-                    x_step, z, spare = z, spare, x_step
+                    # z + gamma * (z - x_step), into x_step's own buffer;
+                    # z becomes the new x_step
+                    np.subtract(z, x_step, out=x_step)
+                    x_step *= gamma
+                    x_step += z
+                    x_step, z = z, x_step
                 if need_inner:
                     inner[block] = z
             if not np.isfinite(z).all():

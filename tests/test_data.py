@@ -112,6 +112,13 @@ def test_non_finite_value_rejected(token):
     assert err.value.line == 2
 
 
+def test_first_fault_in_file_order_is_reported():
+    # a non-finite value on line 1 comes before a malformed one on line 2
+    with pytest.raises(ParseError) as err:
+        parse_libsvm("+1 1:nan\n-1 1:x\n")
+    assert str(err.value) == "non-finite feature value nan at line 1"
+
+
 def test_round_trip_fixture_corpus(fixtures_dir):
     for name in WELL_FORMED:
         ds = load_libsvm(fixtures_dir / name)

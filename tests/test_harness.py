@@ -390,6 +390,13 @@ BAD_CONFIGS = {
     "nan-sigma-sq-with-bound": {"schedule": {"kind": "thm2", "sigma_sq": float("nan")},
                                 "bounds": ["thm2"]},
     "nan-quadratic-spread": {"dataset": {"kind": "quadratic", "spread": float("nan")}},
+    # integers beyond the float range where a real belongs
+    "huge-lr": {"schedule": {"kind": "constant", "lr": 10**400}},
+    "huge-theta": {"schedule": {"kind": "thm2", "theta": 10**400}},
+    "huge-grid-rate": {"grid": [10**400, 0.1]},
+    "huge-quadratic-spread": {"dataset": {"kind": "quadratic", "spread": 10**400}},
+    "huge-sigma-sq-with-bound": {"schedule": {"kind": "thm2", "sigma_sq": 10**400},
+                                 "bounds": ["thm2"]},
     # moment constants, checked whatever the optimizer
     "adam-beta2-above-one": {"optimizer": "adam", "adam_beta2": 1.5},
     "adam-beta1-one": {"optimizer": "adam", "adam_beta1": 1.0},
@@ -413,7 +420,12 @@ BAD_FLAGS = {"theta-without-thm2": ["--theta", "0.5"],
 BAD_KEYS = {"nan-lr": "schedule.lr", "infinite-lr": "schedule.lr", "nan-grid-rate": "grid",
             "nan-theta": "schedule.theta", "nan-sigma-sq-with-bound": "schedule.sigma_sq",
             "nan-quadratic-spread": "dataset.spread",
-            "non-finite-libsvm-value": "non-finite feature value nan at line 2"}
+            "non-finite-libsvm-value": "non-finite feature value nan at line 2",
+            "huge-lr": "error: schedule.lr must be finite",
+            "huge-theta": "error: schedule.theta must be finite",
+            "huge-grid-rate": "error: grid entry must be finite",
+            "huge-quadratic-spread": "error: dataset.spread must be finite",
+            "huge-sigma-sq-with-bound": "error: schedule.sigma_sq must be finite"}
 
 
 @pytest.mark.parametrize("probe", sorted(BAD_CONFIGS))
@@ -504,6 +516,27 @@ def test_band_beyond_the_float_range_stays_infinite():
     assert mean == [0.0, 2.0]
     assert low[0] == -math.inf and high[0] == math.inf
     assert (low[1], high[1]) == pytest.approx((2.0 - 1.96, 2.0 + 1.96), rel=1e-15)
+
+
+def test_band_over_tiny_values_keeps_its_width():
+    # the squared deviations, near 1e-340, would underflow unscaled
+    mean, low, high = harness._mean_ci([[1e-170], [2e-170], [3e-170]])
+    assert mean == [2e-170]
+    assert (high[0] - low[0]) / 2 == pytest.approx(1.1316065276116666e-170, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 10])
+def test_band_equals_direct_formula_bitwise(rows):
+    # inside [1e-140, 1e140] the unscaled sums and squares stay in range, so
+    # the scaled band must keep every bit of the direct formula
+    rng = np.random.default_rng(rows)
+    centers = rng.uniform(-139.0, 139.0, size=2000)
+    spreads = rng.uniform(0.0, 1.0, size=2000)
+    arr = 10.0 ** (centers + spreads * rng.uniform(-1.0, 1.0, size=(rows, 2000)))
+    mean = arr.mean(axis=0)
+    half = 1.96 * arr.std(axis=0, ddof=1) / math.sqrt(rows) if rows > 1 else np.zeros(2000)
+    assert harness._mean_ci(arr.tolist()) == (mean.tolist(), (mean - half).tolist(),
+                                              (mean + half).tolist())
 
 
 def test_failed_reference_solve_is_a_runtime_failure(tmp_path, capsys, monkeypatch):
