@@ -21,6 +21,7 @@ import io
 import json
 import math
 import numbers
+import sys
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -73,15 +74,11 @@ def _check_type(name: str, value, allowed):
     if isinstance(value, bool) != (bool in allowed) or not isinstance(value, allowed):
         names = " or ".join(_TYPE_NAMES[t] for t in allowed)
         raise ConfigError(f"{name} must be {names}, not {value!r}")
-    # a real is finite: not JSON's NaN or Infinity, nor an integer beyond the
-    # float range; integer-typed values stay exact, however large
-    if _REAL in allowed:
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ConfigError(f"{name} must be finite, not {value!r}")
+    # a real is finite: an exact comparison, so JSON's NaN and Infinity and an
+    # integer beyond the float range all fail; integer-typed values stay
+    # exact, however large
+    if _REAL in allowed and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be finite, not {value!r}")
 
 
 def _check_entries(name: str, raw: dict, types: dict):
