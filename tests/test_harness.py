@@ -45,6 +45,8 @@ def test_config_validation():
         quad_config(optimizer="bfgs")
     with pytest.raises(ConfigError, match="path"):
         quad_config(dataset={"kind": "libsvm"})
+    with pytest.raises(ConfigError, match="JSON object"):
+        ExperimentConfig.from_dict([("optimizer", "nasg")])
 
 
 def test_config_accepts_integral_float_sizes():
@@ -324,6 +326,15 @@ def test_cli_bad_config_exit_code(tmp_path):
     assert main(["run", "--config", str(config_path)]) == 2
 
 
+def test_cli_schedule_flag(tmp_path):
+    out = tmp_path / "results"
+    assert main(["run", "--schedule", "thm3", "--epochs", "3", "--seeds", "1",
+                 "--out", str(out)]) == 0
+    parsed = json.loads((out / "summary.json").read_text())
+    assert parsed["config"]["schedule"] == {"kind": "thm3"}
+    assert parsed["label"] == "nasg-rr-thm3"
+
+
 def test_cli_libsvm_dataset(tmp_path):
     fixture = Path(__file__).parent.parent / "fixtures" / "binary_pm1.libsvm"
     out = tmp_path / "results"
@@ -408,6 +419,19 @@ BAD_CONFIGS = {
     "duplicate-seeds": {"seeds": [1, 1]},
     "duplicate-grid-rate": {"grid": [0.1, 0.1]},
     "duplicate-bound-regime": {"bounds": ["thm1", "thm1"]},
+    # a choice outside its set
+    "unknown-scheme": {"scheme": "shuffle"},
+    "unknown-schedule-kind": {"schedule": {"kind": "thm9"}},
+    "unknown-reference": {"reference": "exact"},
+    "unknown-dataset-kind": {"dataset": {"kind": "csv"}},
+    "unknown-libsvm-objective": {"dataset": {"kind": "libsvm", "objective": "hinge",
+                                             "path": str(FIXTURES / "blobs600.libsvm")}},
+    # rules that relate two values
+    "negative-sigma-sq": {"schedule": {"kind": "thm2", "sigma_sq": -1}},
+    "closed-form-on-libsvm": {"dataset": {"kind": "libsvm",
+                                          "path": str(FIXTURES / "blobs600.libsvm")},
+                              "reference": "closed-form"},
+    "objective-flag-on-quadratic": {},
 }
 BAD_FLAGS = {"theta-without-thm2": ["--theta", "0.5"],
              "list-config-with-flag": ["--epochs", "3"],
@@ -415,7 +439,8 @@ BAD_FLAGS = {"theta-without-thm2": ["--theta", "0.5"],
              "list-dataset-with-flag": ["--dataset", "f.libsvm"],
              "string-dataset-with-objective-flag": ["--objective", "softmax"],
              "string-schedule-with-flag": ["--lr", "0.1"],
-             "null-schedule-with-flag": ["--theta", "0.5"]}
+             "null-schedule-with-flag": ["--theta", "0.5"],
+             "objective-flag-on-quadratic": ["--objective", "softmax"]}
 # the key that the error line names
 BAD_KEYS = {"nan-lr": "schedule.lr", "infinite-lr": "schedule.lr", "nan-grid-rate": "grid",
             "nan-theta": "schedule.theta", "nan-sigma-sq-with-bound": "schedule.sigma_sq",
@@ -425,7 +450,15 @@ BAD_KEYS = {"nan-lr": "schedule.lr", "infinite-lr": "schedule.lr", "nan-grid-rat
             "huge-theta": "error: schedule.theta must be finite",
             "huge-grid-rate": "error: grid entry must be finite",
             "huge-quadratic-spread": "error: dataset.spread must be finite",
-            "huge-sigma-sq-with-bound": "error: schedule.sigma_sq must be finite"}
+            "huge-sigma-sq-with-bound": "error: schedule.sigma_sq must be finite",
+            "unknown-scheme": "error: unknown scheme 'shuffle'",
+            "unknown-schedule-kind": "error: unknown schedule kind 'thm9'",
+            "unknown-reference": "reference",
+            "unknown-dataset-kind": "error: unknown dataset kind 'csv'",
+            "unknown-libsvm-objective": "objective",
+            "negative-sigma-sq": "error: schedule.sigma_sq must be >= 0",
+            "closed-form-on-libsvm": "error: closed-form reference only exists",
+            "objective-flag-on-quadratic": "error: --objective only applies to libsvm"}
 
 
 @pytest.mark.parametrize("probe", sorted(BAD_CONFIGS))
