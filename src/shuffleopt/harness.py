@@ -52,42 +52,73 @@ _DEFAULT_DATASET = {"kind": "quadratic", "n": 50, "d": 10, "seed": 7, "spread": 
 _INT, _REAL, _NULL = numbers.Integral, numbers.Real, type(None)
 _TYPE_NAMES = {_INT: "an integer", _REAL: "a number", bool: "true or false",
                str: "a string", dict: "an object", _NULL: "null"}
-_FIELD_TYPES = {"dataset": dict, "optimizer": str, "scheme": str, "schedule": dict,
-                "epochs": _INT, "batch_size": _INT, "label": (str, _NULL),
-                "record_accuracy": bool, "record_dispersion": bool, "reference": str,
-                "sgdm_beta": _REAL, "adam_beta1": _REAL, "adam_beta2": _REAL,
-                "adam_eps": _REAL, "with_replacement": bool, "out": (str, _NULL)}
-# list fields and the type of their entries
-_LIST_TYPES = {"seeds": _INT, "grid": _REAL, "x0": _REAL, "bounds": str, "rate_epochs": _INT}
-# the keys each dataset and schedule kind takes beside "kind"
-_DATASET_KEYS = {
-    "quadratic": {"n": _REAL, "d": _REAL, "seed": _REAL, "spread": _REAL},
-    "libsvm": {"path": str, "objective": str, "mode": str, "dim": (_INT, _NULL),
-               "add_bias": bool, "scale": bool},
+
+
+@dataclass(frozen=True)
+class _List:
+    """A list whose entries follow `entry`, or null where `null` is set; a
+    repeated seed, rate or regime would copy a run, a grid row or a report."""
+    entry: object
+    null: bool = True
+    distinct: bool = False
+
+
+# every config key's rule, keyed like ExperimentConfig: a type (or a tuple of
+# types), a frozenset of accepted strings, a _List, or, for dataset and
+# schedule, the keys each kind takes beside "kind"
+_RULES = {
+    "dataset": {"quadratic": {"n": _REAL, "d": _REAL, "seed": _REAL, "spread": _REAL},
+                "libsvm": {"path": str, "objective": frozenset({"logistic", "softmax"}),
+                           "mode": str, "dim": (_INT, _NULL), "add_bias": bool, "scale": bool}},
+    "optimizer": frozenset(OPTIMIZERS), "scheme": frozenset(kind.value for kind in SchemeKind),
+    "schedule": {**{kind.value: {} for kind in ScheduleKind},
+                 "constant": {"lr": _REAL}, "thm2": {"theta": _REAL, "sigma_sq": _REAL}},
+    "epochs": _INT, "batch_size": _INT, "seeds": _List(_INT, null=False, distinct=True),
+    "grid": _List(_REAL, distinct=True), "label": (str, _NULL), "x0": _List(_REAL),
+    "record_accuracy": bool, "record_dispersion": bool,
+    "reference": frozenset({"auto", "closed-form", "solve", "none"}),
+    "bounds": _List(str, distinct=True), "rate_epochs": _List(_INT, distinct=True),
+    "sgdm_beta": _REAL, "adam_beta1": _REAL, "adam_beta2": _REAL, "adam_eps": _REAL,
+    "with_replacement": bool, "out": (str, _NULL),
 }
-_SCHEDULE_KEYS = {"constant": {"lr": _REAL}, "thm2": {"theta": _REAL, "sigma_sq": _REAL}}
 
 
-def _check_type(name: str, value, allowed):
-    allowed = allowed if isinstance(allowed, tuple) else (allowed,)
-    # bool is an int subtype, so true/false only pass where booleans belong
-    if isinstance(value, bool) != (bool in allowed) or not isinstance(value, allowed):
-        names = " or ".join(_TYPE_NAMES[t] for t in allowed)
-        raise ConfigError(f"{name} must be {names}, not {value!r}")
-    # a real is finite: an exact comparison, so JSON's NaN and Infinity and an
-    # integer beyond the float range all fail; integer-typed values stay
-    # exact, however large
-    if _REAL in allowed and not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{name} must be finite, not {value!r}")
-
-
-def _check_entries(name: str, raw: dict, types: dict):
-    unknown = set(raw) - {"kind"} - set(types)
+def _check_keys(raw: dict, known, what: str):
+    unknown = set(raw) - set(known)
     if unknown:
-        raise ConfigError(f"unknown keys for a {raw['kind']} {name}: {sorted(unknown)}")
-    for key, value in raw.items():
-        if key != "kind":
-            _check_type(f"{name}.{key}", value, types[key])
+        raise ConfigError(f"unknown {what}: {sorted(unknown)}")
+
+
+def _check(name: str, value, rule):
+    """The value, checked against its rule in _RULES; a list becomes a tuple."""
+    if isinstance(rule, frozenset):
+        if not isinstance(value, str) or value not in rule:
+            raise ConfigError(f"unknown {name} {value!r}")
+    elif isinstance(rule, _List):
+        if value is None and rule.null:
+            return value
+        if isinstance(value, (str, dict)) or not isinstance(value, Iterable):
+            raise ConfigError(f"{name} must be a list, not {value!r}")
+        value = tuple(_check(f"{name} entry", entry, rule.entry) for entry in value)
+        if rule.distinct and len(set(value)) != len(value):
+            raise ConfigError(f"{name} entries must be distinct, not {list(value)!r}")
+    elif isinstance(rule, dict):
+        kind = _check(f"{name} kind", _check(name, value, dict).get("kind"), frozenset(rule))
+        _check_keys(value, {"kind", *rule[kind]}, f"keys for a {kind} {name}")
+        for key, entry in value.items():
+            if key != "kind":
+                _check(f"{name}.{key}", entry, rule[kind][key])
+    else:
+        types = rule if isinstance(rule, tuple) else (rule,)
+        # bool is an int subtype, so true/false only pass where booleans belong
+        if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
+            names = " or ".join(_TYPE_NAMES[t] for t in types)
+            raise ConfigError(f"{name} must be {names}, not {value!r}")
+        # a real is finite: an exact comparison that NaN, the infinities and an
+        # integer beyond the float range fail; integer-typed values stay exact
+        if _REAL in types and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{name} must be finite")
+    return value
 
 
 @dataclass
@@ -115,83 +146,43 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        for key, allowed in _FIELD_TYPES.items():
-            _check_type(key, getattr(self, key), allowed)
-        for key, allowed in _LIST_TYPES.items():
-            value = getattr(self, key)
-            if value is None and key != "seeds":
-                continue
-            if isinstance(value, (str, dict)) or not isinstance(value, Iterable):
-                raise ConfigError(f"{key} must be a list, not {value!r}")
-            entries = tuple(value)
-            setattr(self, key, entries)
-            for entry in entries:
-                _check_type(f"{key} entry", entry, allowed)
-            # a repeated seed, rate or regime would copy a run, a grid row or a report
-            if key in ("seeds", "grid", "bounds") and len(set(entries)) != len(entries):
-                raise ConfigError(f"{key} entries must be distinct, not {list(entries)!r}")
+        for key, rule in _RULES.items():
+            setattr(self, key, _check(key, getattr(self, key), rule))
+        # the rules below relate one value to another
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        try:
-            SchemeKind(self.scheme)
-        except ValueError:
-            raise ConfigError(f"unknown scheme {self.scheme!r}") from None
-        kind = self.schedule.get("kind")
-        try:
-            kind = ScheduleKind(kind)
-        except ValueError:
-            raise ConfigError(f"unknown schedule kind {kind!r}") from None
-        _check_entries("schedule", self.schedule, _SCHEDULE_KEYS.get(kind.value, {}))
         if self.schedule.get("sigma_sq", 0) < 0:
             raise ConfigError("schedule.sigma_sq must be >= 0")
+        constant = self.schedule["kind"] == "constant"
         if self.grid is not None:
             self.grid = tuple(float(v) for v in self.grid)
             if not self.grid or any(v <= 0 for v in self.grid):
                 raise ConfigError("grid must be nonempty with positive entries")
-            if kind is not ScheduleKind.CONSTANT:
+            if not constant:
                 raise ConfigError("a grid implies a constant schedule")
-        if kind is ScheduleKind.CONSTANT and self.grid is None \
-                and self.schedule.get("lr") is None:
+        elif constant and "lr" not in self.schedule:
             raise ConfigError("constant schedule needs lr (or a grid)")
-        if self.reference not in ("auto", "closed-form", "solve", "none"):
-            raise ConfigError(f"unknown reference mode {self.reference!r}")
-        if self.rate_epochs and (len(set(self.rate_epochs)) != len(self.rate_epochs)
-                                 or len(self.rate_epochs) < 3):
+        if self.rate_epochs and len(self.rate_epochs) < 3:
             raise ConfigError("rate_epochs needs at least 3 distinct horizons")
-        ds_kind = self.dataset.get("kind")
-        if ds_kind not in ("quadratic", "libsvm"):
-            raise ConfigError(f"unknown dataset kind {ds_kind!r}")
-        _check_entries("dataset", self.dataset, _DATASET_KEYS[ds_kind])
-        if ds_kind == "quadratic":
+        if self.dataset["kind"] == "quadratic":
             for key in ("n", "d", "seed"):
                 value = self.dataset.get(key, 0)
-                # integral floats such as 20.0 stay accepted
-                if not isinstance(value, _INT) and not float(value).is_integer():
+                if not float(value).is_integer():  # 20.0 stays accepted
                     raise ConfigError(f"dataset.{key} must be an integer, not {value!r}")
-        if ds_kind == "libsvm":
-            if "path" not in self.dataset:
-                raise ConfigError("libsvm dataset needs a path")
-            if self.dataset.get("objective", "logistic") not in ("logistic", "softmax"):
-                raise ConfigError("libsvm objective must be logistic or softmax")
-            if self.reference == "closed-form":
-                raise ConfigError("closed-form reference only exists for quadratic datasets")
+        elif "path" not in self.dataset:
+            raise ConfigError("libsvm dataset needs a path")
+        elif self.reference == "closed-form":
+            raise ConfigError("closed-form reference only exists for quadratic datasets")
         if self.label is None:
-            self.label = f"{self.optimizer}-{self.scheme}-{kind.value}"
+            self.label = f"{self.optimizer}-{self.scheme}-{self.schedule['kind']}"
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("a config must be a JSON object")
-        raw = dict(raw)
-        if raw.get("grid") is not None and "schedule" not in raw:
-            raw["schedule"] = {"kind": "constant"}
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**raw)
+        _check_keys(raw, _RULES, "config keys")
+        implied = {"schedule": {"kind": "constant"}} if raw.get("grid") is not None else {}
+        return cls(**{**implied, **raw})
 
     def to_dict(self) -> dict:
         # the echo stored in artifacts; the output path is not part of it so

@@ -30,7 +30,8 @@ _LOG2 = math.log(2.0)
 
 
 class ReferenceSolveError(RuntimeError):
-    """High-accuracy solve hit its iteration cap before the gradient tolerance."""
+    """High-accuracy solve stopped before the gradient tolerance: at its cap, or
+    early on an infimum that is not attained."""
 
     def __init__(self, message, value, grad_norm, iterations):
         super().__init__(message)
@@ -322,27 +323,33 @@ def solve_reference(objective: Objective, tol: float = 1e-10,
 
     Quadratics use their closed form.  Everything else runs the deterministic
     accelerated full-gradient method with step 1/L until ||grad F|| <= tol.
-    Hitting the cap raises ReferenceSolveError (e.g. separable logistic data,
-    whose infimum is not attained).
+    An infimum of 0 that is not attained (separable logistic or softmax data)
+    raises ReferenceSolveError once F(x) has halved and ||x|| grown between
+    two of the checks at t = 4096, 8192, ...; otherwise the cap raises it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if isinstance(objective, QuadraticObjective):
         return objective.reference()
     x = np.zeros(objective.dim) if x0 is None else np.array(x0, dtype=np.float64)
-    g = objective.full_gradient(x)
-    if float(np.linalg.norm(g)) <= tol:
+    g_norm = float(np.linalg.norm(objective.full_gradient(x)))
+    if g_norm <= tol:
         return x, objective.full_value(x)
     alpha = 1.0 / objective.smoothness_bound()
     y = x.copy()
+    t, check, f_last, x_last = 0, 4096, math.inf, math.inf
     for t in range(1, max_iter + 1):
         x_new = y - alpha * objective.full_gradient(y)
-        g = objective.full_gradient(x_new)
-        if float(np.linalg.norm(g)) <= tol:
+        g_norm = float(np.linalg.norm(objective.full_gradient(x_new)))
+        if g_norm <= tol:
             return x_new, objective.full_value(x_new)
         y = x_new + ((t - 1) / (t + 2)) * (x_new - x)
         x = x_new
-    raise ReferenceSolveError("reference solve did not converge",
-                              value=objective.full_value(x),
-                              grad_norm=float(np.linalg.norm(g)),
-                              iterations=max_iter)
+        if t == check:
+            f, x_norm = objective.full_value(x), float(np.linalg.norm(x))
+            if 0 <= f <= f_last / 2 and x_norm > x_last:
+                break
+            check, f_last, x_last = 2 * check, f, x_norm
+    raise ReferenceSolveError("reference solve did not converge" if t == max_iter else
+                              "reference solve found no minimum (the value halves as ||x|| grows)",
+                              value=objective.full_value(x), grad_norm=g_norm, iterations=t)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from shuffleopt import harness
 from shuffleopt.cli import main
 from shuffleopt.harness import (ConfigError, ExperimentConfig, HarnessError,
                                 RunSummary, emit_plot_data, run_experiment)
-from shuffleopt.objectives import ReferenceSolveError, make_quadratic
+from shuffleopt.objectives import make_quadratic
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -47,6 +48,10 @@ def test_config_validation():
         quad_config(dataset={"kind": "libsvm"})
     with pytest.raises(ConfigError, match="JSON object"):
         ExperimentConfig.from_dict([("optimizer", "nasg")])
+
+
+def test_config_rules_are_keyed_like_the_config():
+    assert list(harness._RULES) == list(ExperimentConfig.__dataclass_fields__)
 
 
 def test_config_accepts_integral_float_sizes():
@@ -441,16 +446,17 @@ BAD_FLAGS = {"theta-without-thm2": ["--theta", "0.5"],
              "string-schedule-with-flag": ["--lr", "0.1"],
              "null-schedule-with-flag": ["--theta", "0.5"],
              "objective-flag-on-quadratic": ["--objective", "softmax"]}
-# the key that the error line names
+# the key that the error line names; a rejected value beyond the float range
+# is not echoed
 BAD_KEYS = {"nan-lr": "schedule.lr", "infinite-lr": "schedule.lr", "nan-grid-rate": "grid",
             "nan-theta": "schedule.theta", "nan-sigma-sq-with-bound": "schedule.sigma_sq",
             "nan-quadratic-spread": "dataset.spread",
             "non-finite-libsvm-value": "non-finite feature value nan at line 2",
-            "huge-lr": "error: schedule.lr must be finite",
-            "huge-theta": "error: schedule.theta must be finite",
-            "huge-grid-rate": "error: grid entry must be finite",
-            "huge-quadratic-spread": "error: dataset.spread must be finite",
-            "huge-sigma-sq-with-bound": "error: schedule.sigma_sq must be finite",
+            "huge-lr": "error: schedule.lr must be finite\n",
+            "huge-theta": "error: schedule.theta must be finite\n",
+            "huge-grid-rate": "error: grid entry must be finite\n",
+            "huge-quadratic-spread": "error: dataset.spread must be finite\n",
+            "huge-sigma-sq-with-bound": "error: schedule.sigma_sq must be finite\n",
             "unknown-scheme": "error: unknown scheme 'shuffle'",
             "unknown-schedule-kind": "error: unknown schedule kind 'thm9'",
             "unknown-reference": "reference",
@@ -572,20 +578,17 @@ def test_band_equals_direct_formula_bitwise(rows):
                                               (mean + half).tolist())
 
 
-def test_failed_reference_solve_is_a_runtime_failure(tmp_path, capsys, monkeypatch):
-    def solve_reference(objective):
-        raise ReferenceSolveError("reference solve did not converge", value=0.5,
-                                  grad_norm=0.0025, iterations=1_000_000)
-
-    monkeypatch.setattr(harness, "solve_reference", solve_reference)
+def test_failed_reference_solve_is_a_runtime_failure(tmp_path, capsys):
+    # two separable rows: the infimum 0 is not attained, so the solve stops early
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({
         "dataset": {"kind": "libsvm", "path": str(FIXTURES / "scientific_values.libsvm")},
         "reference": "solve", "epochs": 2, "seeds": [1]}))
     out = tmp_path / "results"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == ("error: reference solve did not converge: gradient "
-                                       "norm 0.0025 after 1000000 iterations\n")
+    assert re.fullmatch(r"error: reference solve found no minimum \(the value halves as "
+                        r"\|\|x\|\| grows\): gradient norm \S+ after 8192 iterations\n",
+                        capsys.readouterr().err)
     assert not out.exists()
 
 

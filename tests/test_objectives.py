@@ -352,6 +352,17 @@ def test_solve_reference_separable_never_converges():
     assert late.value.value < early.value.value  # still decreasing at the cap
 
 
+@pytest.mark.parametrize("name, cls", [("scientific_values", LogisticObjective),
+                                       ("binary_pm1", LogisticObjective),
+                                       ("multiclass_3", SoftmaxObjective)])
+def test_solve_reference_stops_early_without_a_minimum(fixtures_dir, name, cls):
+    # separable fixtures: the value falls toward 0 as ||x|| keeps growing
+    obj = cls(load_libsvm(fixtures_dir / f"{name}.libsvm"))
+    with pytest.raises(ReferenceSolveError, match="no minimum") as err:
+        solve_reference(obj)
+    assert err.value.iterations <= 20_000
+
+
 def test_solve_reference_tol_validation():
     with pytest.raises(ValueError):
         solve_reference(QuadraticObjective(np.array([[1.0]])), tol=0.0)
