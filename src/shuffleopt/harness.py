@@ -56,8 +56,9 @@ _TYPE_NAMES = {_INT: "an integer", _REAL: "a number", bool: "true or false",
 
 @dataclass(frozen=True)
 class _List:
-    """A list whose entries follow `entry`, or null where `null` is set; a
-    repeated seed, rate or regime would copy a run, a grid row or a report."""
+    """A list whose entries follow `entry`; null too where `null` is set.
+    `distinct` rejects a repeated entry: a repeated seed, grid rate, regime or
+    horizon would copy a run, a grid row, a report or a fit point."""
     entry: object
     null: bool = True
     distinct: bool = False
@@ -148,7 +149,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for key, rule in _RULES.items():
             setattr(self, key, _check(key, getattr(self, key), rule))
-        # the rules below relate one value to another
+        # what the table cannot state: ranges, and rules that relate two values
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
         if self.schedule.get("sigma_sq", 0) < 0:
