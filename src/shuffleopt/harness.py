@@ -221,8 +221,8 @@ class RunSummary:
         return cls(**raw)
 
 
-def build_objective(config: ExperimentConfig):
-    """Objective plus (x_star, f_star) when a reference is available."""
+def _objective(config: ExperimentConfig):
+    """The objective of the config's dataset."""
     ds = config.dataset
     if ds["kind"] == "quadratic":
         ds = {**_DEFAULT_DATASET, **ds}
@@ -234,10 +234,19 @@ def build_objective(config: ExperimentConfig):
                                              ("mode", "dim", "add_bias", "scale") if key in ds})
         objective = LogisticObjective(dataset) if ds.get("objective", "logistic") == "logistic" \
             else SoftmaxObjective(dataset)
+    return objective
+
+
+def _has_reference(config: ExperimentConfig) -> bool:
     # "auto" means the closed form, which only quadratics have
-    if config.reference == "none" or (config.reference == "auto" and ds["kind"] != "quadratic"):
-        return objective, None
-    return objective, solve_reference(objective)
+    return config.reference != "none" and (config.reference != "auto"
+                                           or config.dataset["kind"] == "quadratic")
+
+
+def build_objective(config: ExperimentConfig):
+    """Objective plus (x_star, f_star) when a reference is available."""
+    objective = _objective(config)
+    return objective, solve_reference(objective) if _has_reference(config) else None
 
 
 def _make_schedule(config: ExperimentConfig, objective, lr, T) -> ScheduleSpec:
@@ -334,9 +343,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
     out = Path(out_dir if out_dir is not None else (config.out or "results"))
     # build: every lower layer checks the config against its own rules here,
     # before any run, and a rejection (or a dataset that cannot be read)
-    # becomes a ConfigError
+    # becomes a ConfigError; the reference solve, the one costly step, comes
+    # after every check that does not need its result
     try:
-        objective, ref = build_objective(config)
+        objective = _objective(config)
         rates = config.grid if config.grid is not None else (config.schedule.get("lr"),)
         schedules = {(lr, T): _make_schedule(config, objective, lr, T) for lr in rates
                      for T in (config.epochs, *(config.rate_epochs or ()))}
@@ -348,10 +358,12 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
                         adam_beta1=config.adam_beta1, adam_beta2=config.adam_beta2,
                         adam_eps=config.adam_eps)
         x0 = start_point(config.optimizer, objective, **run_args)
-        if ref is None and config.bounds:
+        has_reference = _has_reference(config)
+        if not has_reference and config.bounds:
             raise ConfigError("bound reports need a reference (minimizer oracle)")
-        if ref is None and config.rate_epochs:
+        if not has_reference and config.rate_epochs:
             raise ConfigError("rate fitting needs a reference (minimizer oracle)")
+        ref = solve_reference(objective) if has_reference else None
         f_star = reference_info = constants = None
         bounds = []  # (regime, bound at T = epochs) per requested regime
         if ref is not None:

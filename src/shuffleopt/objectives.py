@@ -323,9 +323,12 @@ def solve_reference(objective: Objective, tol: float = 1e-10,
 
     Quadratics use their closed form.  Everything else runs the deterministic
     accelerated full-gradient method with step 1/L until ||grad F|| <= tol.
+    Its momentum (k-1)/(k+2) restarts at k = 1 whenever a step climbs, i.e.
+    grad F(y) . (x_new - x) > 0 (gradient-scheme adaptive restart, O'Donoghue
+    and Candes); until the first restart k equals the iteration count t.
     An infimum of 0 that is not attained (separable logistic or softmax data)
     raises ReferenceSolveError once F(x) has halved and ||x|| grown between
-    two of the checks at t = 4096, 8192, ...; otherwise the cap raises it.
+    two of the checks at t = 4096, 8192, ...; otherwise the cap on t raises it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -337,13 +340,16 @@ def solve_reference(objective: Objective, tol: float = 1e-10,
         return x, objective.full_value(x)
     alpha = 1.0 / objective.smoothness_bound()
     y = x.copy()
-    t, check, f_last, x_last = 0, 4096, math.inf, math.inf
+    t, k, check, f_last, x_last = 0, 0, 4096, math.inf, math.inf
     for t in range(1, max_iter + 1):
-        x_new = y - alpha * objective.full_gradient(y)
+        g = objective.full_gradient(y)
+        x_new = y - alpha * g
         g_norm = float(np.linalg.norm(objective.full_gradient(x_new)))
         if g_norm <= tol:
             return x_new, objective.full_value(x_new)
-        y = x_new + ((t - 1) / (t + 2)) * (x_new - x)
+        step = x_new - x
+        k = 1 if g @ step > 0 else k + 1
+        y = x_new + ((k - 1) / (k + 2)) * step
         x = x_new
         if t == check:
             f, x_norm = objective.full_value(x), float(np.linalg.norm(x))

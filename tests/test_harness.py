@@ -437,6 +437,10 @@ BAD_CONFIGS = {
                                           "path": str(FIXTURES / "blobs600.libsvm")},
                               "reference": "closed-form"},
     "objective-flag-on-quadratic": {},
+    # checked before the reference solve, which finds no minimum on these two rows
+    "batch-exceeds-n-before-solve": {"dataset": {"kind": "libsvm", "path": str(
+        FIXTURES / "scientific_values.libsvm")}, "reference": "solve", "batch_size": 99,
+                                     "seeds": [1]},
 }
 BAD_FLAGS = {"theta-without-thm2": ["--theta", "0.5"],
              "list-config-with-flag": ["--epochs", "3"],
@@ -464,7 +468,8 @@ BAD_KEYS = {"nan-lr": "schedule.lr", "infinite-lr": "schedule.lr", "nan-grid-rat
             "unknown-libsvm-objective": "objective",
             "negative-sigma-sq": "error: schedule.sigma_sq must be >= 0",
             "closed-form-on-libsvm": "error: closed-form reference only exists",
-            "objective-flag-on-quadratic": "error: --objective only applies to libsvm"}
+            "objective-flag-on-quadratic": "error: --objective only applies to libsvm",
+            "batch-exceeds-n-before-solve": "error: batch_size must be in [1, 2]\n"}
 
 
 @pytest.mark.parametrize("probe", sorted(BAD_CONFIGS))
@@ -479,6 +484,17 @@ def test_cli_rejects_config_before_any_artifact(tmp_path, capsys, probe):
     assert err.startswith("error: ")
     assert BAD_KEYS.get(probe, "") in err
     assert not out.exists()
+
+
+def test_config_error_comes_before_the_reference_solve(tmp_path, capsys, monkeypatch):
+    solves = []
+    monkeypatch.setattr(harness, "solve_reference", solves.append)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"epochs": 2,
+                                       **BAD_CONFIGS["batch-exceeds-n-before-solve"]}))
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: batch_size must be in [1, 2]\n"
+    assert solves == []
 
 
 RUNTIME_FAILURES = {

@@ -8,6 +8,7 @@ from shuffleopt.data import Dataset, load_libsvm
 from shuffleopt.objectives import (LogisticObjective, QuadraticObjective,
                                    ReferenceSolveError, SoftmaxObjective, _logaddexp0,
                                    make_quadratic, solve_reference, variance_at_point)
+from shuffleopt.prng import derive_key, standard_normals
 
 RNG = np.random.default_rng(61803)
 
@@ -361,6 +362,50 @@ def test_solve_reference_stops_early_without_a_minimum(fixtures_dir, name, cls):
     with pytest.raises(ReferenceSolveError, match="no minimum") as err:
         solve_reference(obj)
     assert err.value.iterations <= 20_000
+
+
+def _normals(seed, stream, *shape):
+    return standard_normals(derive_key(seed, stream), math.prod(shape)).reshape(shape)
+
+
+def test_solve_reference_blobs600_keeps_its_minimum(fixtures_dir):
+    obj = LogisticObjective(load_libsvm(fixtures_dir / "blobs600.libsvm"))
+    x_star, f_star = solve_reference(obj)
+    # bitwise the value that the solve without momentum restart found
+    assert f_star.hex() == "0x1.252e0eed0129dp-1"
+    assert np.linalg.norm(obj.full_gradient(x_star)) <= 1e-10
+
+
+def test_solve_reference_gradient_budget(fixtures_dir):
+    obj = LogisticObjective(load_libsvm(fixtures_dir / "blobs600.libsvm"))
+    calls = []
+    gradient = obj.full_gradient
+    obj.full_gradient = lambda w: calls.append(w) or gradient(w)
+    solve_reference(obj)
+    # the gradient at x0, then two per iteration for 229 iterations; the solve
+    # without momentum restart took 1,487 iterations (2,975 gradients)
+    assert len(calls) == 459
+
+
+def test_solve_reference_overlapping_softmax():
+    X = _normals(1, 1, 300, 5)
+    labels = np.argmax(X @ _normals(1, 2, 5, 3) + 1.5 * _normals(1, 3, 300, 3), axis=1)
+    _, f_star = solve_reference(SoftmaxObjective(Dataset.from_dense(X, labels, c=3)))
+    # the value the solve without momentum restart found
+    assert f_star == pytest.approx(0.8081460865907275, rel=1e-12, abs=0)
+
+
+def test_solve_reference_ill_conditioned_with_a_minimum():
+    # one column scaled by 30; the first 20 rows repeat with flipped labels, so
+    # the data are not separable and the minimum is attained.  Without
+    # momentum restart the solve hits this cap with ||grad F|| near 1e-5.
+    X = _normals(2, 1, 200, 20)
+    X[:, 0] *= 30
+    y = np.where(X @ _normals(2, 2, 20) + _normals(2, 3, 200) > 0, 1.0, -1.0)
+    obj = LogisticObjective(Dataset.from_dense(np.vstack([X, X[:20]]),
+                                               np.concatenate([y, -y[:20]])))
+    x_star, _ = solve_reference(obj, max_iter=20_000)
+    assert np.linalg.norm(obj.full_gradient(x_star)) <= 1e-10
 
 
 def test_solve_reference_tol_validation():
