@@ -438,9 +438,9 @@ BAD_CONFIGS = {
                               "reference": "closed-form"},
     "objective-flag-on-quadratic": {},
     # checked before the reference solve, which finds no minimum on these two rows
-    "batch-exceeds-n-before-solve": {"dataset": {"kind": "libsvm", "path": str(
-        FIXTURES / "scientific_values.libsvm")}, "reference": "solve", "batch_size": 99,
-                                     "seeds": [1]},
+    "batch-exceeds-n-before-solve": {
+        "dataset": {"kind": "libsvm", "path": str(FIXTURES / "scientific_values.libsvm")},
+        "reference": "solve", "batch_size": 99, "seeds": [1]},
 }
 BAD_FLAGS = {"theta-without-thm2": ["--theta", "0.5"],
              "list-config-with-flag": ["--epochs", "3"],
