@@ -14,18 +14,26 @@ file order.
 
 `Dataset` owns the row layout: it builds each entry's row id and each row's
 (columns, values) views once, and computes X @ w, X^T @ c and the squared row
-norms, so no other module reads the layout.
+norms, so no other module reads the layout.  For the logistic block sweep it
+also gathers a batch of rows into flat (columns, values, lengths) arrays,
+takes each gathered row's dot product, splits an order into greedy runs of
+rows whose columns are pairwise disjoint, and decides from the rows alone
+whether such runs form on this data (`runs_form`).  The row lengths and that
+decision are built at first use, not when the data is parsed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 _BINARY_LABEL_SETS = ({-1.0, 1.0}, {0.0, 1.0})
+# the mean greedy run, in rows, from which `runs_form` holds
+_RUN_FLOOR = 3
 
 
 class ParseError(ValueError):
@@ -112,6 +120,76 @@ class Dataset:
 
     def row_sq_norms(self) -> np.ndarray:
         return np.bincount(self._rows, weights=self.values ** 2, minlength=self.n)
+
+    @cached_property
+    def _lengths(self) -> np.ndarray:
+        """Each row's stored entry count, built at the first gather."""
+        return np.diff(self.indptr)
+
+    @cached_property
+    def _width(self) -> int | None:
+        """The one row length every row has, or None."""
+        lengths = self._lengths
+        return int(lengths[0]) if (lengths == lengths[0]).all() else None
+
+    def gather(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows `ids` (a 1-D int array) in turn, flattened: their columns,
+        their values and each row's length."""
+        lengths = self._lengths[ids]
+        ends = np.cumsum(lengths)
+        # entry k of the j-th row sits at indptr[ids[j]] + k
+        pos = np.repeat(self.indptr[ids] - (ends - lengths), lengths)
+        pos += np.arange(pos.size)
+        return self.indices[pos], self.values[pos], lengths
+
+    def row_dots(self, vals: np.ndarray, w_cols: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Each gathered row's inner product vals . w_cols, one BLAS ddot per
+        row as `ndarray.dot` takes it: one stacked matmul when every row of
+        the data has the same length, else one `ndarray.dot` per row."""
+        m = lengths.size
+        width = self._width
+        if width is not None:
+            return np.matmul(vals.reshape(m, 1, width), w_cols.reshape(m, width, 1)).reshape(m)
+        bounds = [0, *np.cumsum(lengths).tolist()]
+        return np.array([vals[lo:hi].dot(w_cols[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+
+    @staticmethod
+    def disjoint_runs(cols: np.ndarray, lengths: np.ndarray) -> list[int]:
+        """Split gathered rows greedily into runs of consecutive rows whose
+        columns are pairwise disjoint: the row positions where the runs start,
+        then the row count.  A run ends before the first row that shares a
+        column with an earlier row of the run, so a repeated row always ends
+        one; a row with no entries never does."""
+        m = lengths.size
+        # one key per entry, sorted by column and then by row
+        keys = cols * m
+        keys += np.repeat(np.arange(m), lengths)
+        keys.sort()
+        col = keys // m
+        repeat = col[1:] == col[:-1]
+        del col
+        # each row's latest earlier row that shares one of its columns, or -1
+        latest = np.full(m, -1)
+        np.maximum.at(latest, keys[1:][repeat] % m, keys[:-1][repeat] % m)
+        starts, start = [0], 0
+        for pos, earlier in enumerate(latest.tolist()):
+            if earlier >= start:
+                starts.append(pos)
+                start = pos
+        starts.append(m)
+        return starts
+
+    @cached_property
+    def runs_form(self) -> bool:
+        """Whether conflict-free runs form on these rows: their greedy runs in
+        stored order average at least `_RUN_FLOOR` rows.  Decided once, at
+        first use; rows that all share a column give runs of one row.  When
+        `_RUN_FLOOR` rows of mean length hold more entries than there are
+        columns, runs that long cannot be common, and they are not sought."""
+        if _RUN_FLOOR * self.indices.size > self.d * self.n:
+            return False
+        cols, _, lengths = self.gather(np.arange(self.n))
+        return self.n >= _RUN_FLOOR * (len(self.disjoint_runs(cols, lengths)) - 1)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.d))

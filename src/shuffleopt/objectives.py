@@ -6,13 +6,19 @@ spectral estimate).  Parameter vectors are plain float64 arrays.  The row-data
 objectives hold only their losses; rows and products come from their Dataset.
 
 The step contract: a sweep needs `batch_mean_gradient(w, ids)`, the mean
-gradient of a batch (a list of ints or a 1-D int array) at one point, and
+gradient of a batch (a list of ints or a 1-D int array) at one point,
 `row_step(z, i, scale)`, the in-place update z -= scale * g of one row, bitwise
-equal to z -= scale * batch_mean_gradient(z, [i]).  The base class computes
-exactly that; the logistic row step costs O(nnz) of the row and the quadratic
-one skips the batch gather and mean.  nag's step, z -= scale *
-full_gradient(z), and nasg-pi's in-place extrapolation need nothing more.
-Objectives keep no scratch arrays between calls.
+equal to z -= scale * batch_mean_gradient(z, [i]), and `sweep(z, order,
+scale)`, bitwise equal to `row_step` for each index of `order` in turn.  The
+base class computes exactly those; the logistic row step costs O(nnz) of the
+row and the quadratic one skips the batch gather and mean.  On data where
+runs form (`Dataset.runs_form`), the logistic sweep applies each greedy run of
+rows with pairwise disjoint columns as one block: a row step reads and writes
+only its own columns, so the rows of such a run commute exactly.  The logistic
+batch gradient gathers its rows once and scatters them with one ordered
+`np.add.at`.  nag's step, z -= scale * full_gradient(z), and nasg-pi's
+in-place extrapolation need nothing more.  Objectives keep no scratch arrays
+between calls.
 """
 
 from __future__ import annotations
@@ -87,6 +93,13 @@ class Objective(abc.ABC):
         """In place: z -= scale * batch_mean_gradient(z, [i])."""
         z -= scale * self.batch_mean_gradient(z, [i])
 
+    def sweep(self, z: np.ndarray, order: np.ndarray, scale: float) -> None:
+        """In place: row_step(z, i, scale) for each index i of `order` (a 1-D
+        int array) in turn."""
+        row_step = self.row_step
+        for i in order.tolist():
+            row_step(z, i, scale)
+
     def accuracy(self, w: np.ndarray) -> float | None:
         """Training accuracy where defined; None for regression-style sums."""
         return None
@@ -118,7 +131,11 @@ class LogisticObjective(Objective):
         return _logaddexp0(-(self._labels[i] * float(vals.dot(w[cols]))))
 
     def component_gradient(self, w, i):
-        return self.batch_mean_gradient(w, (i,))
+        cols, vals = self.data.row(i)
+        g = np.zeros(self.dim)
+        # the one-row batch: +0.0 plus the row's gradient, divided by 1
+        g[cols] += self._row_coef(i, vals.dot(w[cols])) * vals
+        return g
 
     def _row_coef(self, i, margin):
         """Row i's gradient is this coefficient times x_i, where margin is
@@ -127,12 +144,31 @@ class LogisticObjective(Objective):
         # numpy's exp, not math.exp: numpy's SIMD exp can differ in the last bit
         return -y * float(np.exp(-_logaddexp0(y * float(margin))))
 
+    @staticmethod
+    def _coefs(y, margins):
+        """`_row_coef` over arrays of labels and margins, in the same
+        operations and operand order."""
+        coef = np.logaddexp(0.0, y * margins)
+        np.negative(coef, out=coef)
+        np.exp(coef, out=coef)
+        return np.multiply(-y, coef, out=coef)
+
     def batch_mean_gradient(self, w, ids):
+        """One gather of the batch's rows; their gradients are summed into
+        zeros in batch order by one `np.add.at`, and only the touched columns
+        are divided, since every other entry is +0.0 and +0.0 / k is +0.0.
+        A single row takes `component_gradient`."""
+        if len(ids) == 1:
+            return self.component_gradient(w, int(ids[0]))
+        ids = np.asarray(ids)
+        data = self.data
+        cols, vals, lengths = data.gather(ids)
+        grads = np.repeat(self._coefs(data.labels[ids], data.row_dots(vals, w[cols], lengths)),
+                          lengths)
+        grads *= vals
         g = np.zeros(self.dim)
-        for i in ids:
-            cols, vals = self.data.row(i)
-            g[cols] += self._row_coef(i, vals.dot(w[cols])) * vals
-        g /= len(ids)
+        np.add.at(g, cols, grads)
+        g[cols] /= len(ids)
         return g
 
     def row_step(self, z, i, scale):
@@ -152,6 +188,38 @@ class LogisticObjective(Objective):
         grad *= scale
         zc -= grad
         z[cols] = zc
+
+    def sweep(self, z, order, scale):
+        """Where runs form, each greedy run of two or more rows with pairwise
+        disjoint columns is one block: one gather of z at the run's columns,
+        each row's margin from it, the coefficients as arrays, the row step's
+        `+= 0.0`, `*= scale` and subtraction in the same order, one scatter.
+        No row of a run reads a column another row of the run writes, so the
+        block equals the row steps bitwise.  A run of one row takes `row_step`.
+        """
+        data = self.data
+        if not data.runs_form:
+            super().sweep(z, order, scale)
+            return
+        cols, vals, lengths = data.gather(order)
+        starts = data.disjoint_runs(cols, lengths)
+        bounds = np.concatenate(([0], np.cumsum(lengths)))[starts].tolist()
+        labels = data.labels[order]
+        for k in range(len(starts) - 1):
+            a, b = starts[k], starts[k + 1]
+            if b - a == 1:
+                self.row_step(z, int(order[a]), scale)
+                continue
+            lo, hi = bounds[k], bounds[k + 1]
+            run_cols, run_vals, run_lengths = cols[lo:hi], vals[lo:hi], lengths[a:b]
+            zc = z[run_cols]
+            grad = np.repeat(self._coefs(labels[a:b], data.row_dots(run_vals, zc, run_lengths)),
+                             run_lengths)
+            grad *= run_vals
+            grad += 0.0
+            grad *= scale
+            zc -= grad
+            z[run_cols] = zc
 
     def full_value(self, w):
         margins = self.data.labels * self.data.dot(w)

@@ -23,12 +23,14 @@ and all of its gradients are evaluated at the same inner iterate.  `run`
 picks one of four update rules once per run, and each updates the sweep point
 z in place: sgdm and adam take g from `batch_mean_gradient` and update their
 moments in place; nag applies its full gradient to one batch standing for all
-n components; at batch size 1, nasg, nasg-pi and sgd hand each index of the
-order, a Python int, to `objective.row_step` (the step contract in
-`objectives`); larger batches apply z -= scale * g, with nasg's scale eta_t/n
-times the batch's length.  nasg-pi extrapolates into the buffer of the inner
-x it replaces and swaps the two names, so its extrapolation allocates
-nothing.
+n components; at batch size 1, nasg-pi hands each index of the order, a
+Python int, to `objective.row_step` (the step contract in `objectives`), and
+nasg and sgd hand the whole order to `objective.sweep` once per epoch, which
+equals those row steps bitwise (they take the per-step loop only when inner
+iterates or the dispersion are recorded); larger batches apply
+z -= scale * g, with nasg's scale eta_t/n times the batch's length.  nasg-pi
+extrapolates into the buffer of the inner x it replaces and swaps the two
+names, so its extrapolation allocates nothing.
 Inner iterates are written into one (blocks + 1, dim) array per epoch.  The
 nasg family applies batches with per-component step eta_t/n, so batch size 1
 recovers the per-sample sweep exactly and batch size n recovers one
@@ -220,6 +222,8 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
             z -= (scale * len(ids) if per_component else scale) \
                 * objective.batch_mean_gradient(z, ids)
     row_steps = batch_size == 1 and not moments  # the order's ints are the batches
+    # one objective.sweep call per epoch in place of the per-step loop
+    sweeps = row_steps and optimizer in ("nasg", "sgd") and not need_inner
     pi = optimizer == "nasg-pi"
 
     # x is the convergence iterate and y the point each sweep starts from;
@@ -242,8 +246,8 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
             order = (uniform_indices(scheme.base_seed, t, n, n) if with_replacement
                      else generate_permutation(scheme, n, t))
             # the order as Python ints, cheaper to index with than numpy
-            # integers
-            perm = order.tolist()
+            # integers; a sweep takes the array itself
+            perm = None if sweeps else order.tolist()
             batches = perm if row_steps else [perm[start:start + batch_size]
                                               for start in range(0, n, batch_size)]
         scale = eta / n if per_component else eta
@@ -256,17 +260,20 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
             if need_inner:
                 inner = np.empty((len(batches) + 1, dim))
                 inner[0] = z
-            for block, ids in enumerate(batches, 1):
-                step(z, ids, scale)
-                if pi:
-                    # z + gamma * (z - x_step), into x_step's own buffer;
-                    # z becomes the new x_step
-                    np.subtract(z, x_step, out=x_step)
-                    x_step *= gamma
-                    x_step += z
-                    x_step, z = z, x_step
-                if need_inner:
-                    inner[block] = z
+            if sweeps:
+                objective.sweep(z, order, scale)
+            else:
+                for block, ids in enumerate(batches, 1):
+                    step(z, ids, scale)
+                    if pi:
+                        # z + gamma * (z - x_step), into x_step's own buffer;
+                        # z becomes the new x_step
+                        np.subtract(z, x_step, out=x_step)
+                        x_step *= gamma
+                        x_step += z
+                        x_step, z = z, x_step
+                    if need_inner:
+                        inner[block] = z
             if not np.isfinite(z).all():
                 raise DivergenceError(f"non-finite iterate in epoch {t}", t,
                                       RunResult(trace, x.copy(), x_snaps, y_snaps,

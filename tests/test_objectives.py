@@ -9,6 +9,7 @@ from shuffleopt.objectives import (LogisticObjective, QuadraticObjective,
                                    ReferenceSolveError, SoftmaxObjective, _logaddexp0,
                                    make_quadratic, solve_reference, variance_at_point)
 from shuffleopt.prng import derive_key, standard_normals
+from wide_sets import wide_dataset
 
 RNG = np.random.default_rng(61803)
 
@@ -107,6 +108,14 @@ def test_logaddexp0_is_numpy_logaddexp_bitwise():
         got = _logaddexp0(z)
         assert type(got) is float
         assert struct.pack("<d", got) == struct.pack("<d", expected), z
+    # numpy's array loops give the scalar forms' bits: the block sweep's
+    # coefficients equal the row step's
+    obj = LogisticObjective(Dataset.from_dense(np.ones((2, 1)), np.array([-1.0, 1.0])))
+    margins = np.array(logaddexp_cases())
+    for i, y in enumerate((-1.0, 1.0)):
+        scalar = np.array([obj._row_coef(i, m) for m in margins.tolist()]).tobytes()
+        assert (-y * np.exp(-np.logaddexp(0, y * margins))).tobytes() == scalar
+        assert obj._coefs(np.full(margins.size, y), margins).tobytes() == scalar
 
 
 # ----------------------------------------------------------------- softmax
@@ -263,8 +272,9 @@ def step_batches(n):
 @np.errstate(invalid="ignore", over="ignore")
 def assert_step_is_dense_update(obj):
     """Every batch gives the same mean gradient as a numpy array and as the
-    list of Python ints that `run` passes, and `row_step` takes each row of
-    the three-row batch to its one-row dense update."""
+    list of Python ints that `run` passes, `row_step` takes each row of the
+    three-row batch to its one-row dense update, and `sweep` over each batch
+    equals `row_step` for each of its rows in turn."""
     for z in step_points(obj.dim):
         for batch in step_batches(obj.n):
             dense = obj.batch_mean_gradient(z, batch)
@@ -275,14 +285,44 @@ def assert_step_is_dense_update(obj):
                 got = z.copy()
                 assert obj.row_step(got, i, scale) is None
                 assert got.tobytes() == expected.tobytes(), (i, scale)
+        for order in step_batches(obj.n):
+            expected = z.copy()
+            for i in order.tolist():
+                obj.row_step(expected, i, 0.5)
+            got = z.copy()
+            assert obj.sweep(got, order, 0.5) is None
+            assert got.tobytes() == expected.tobytes(), order
+
+
+def reference_batch_mean_gradient(obj, w, ids):
+    """The per-row loop that `LogisticObjective.batch_mean_gradient` ran
+    before its block gather, kept literally."""
+    g = np.zeros(obj.dim)
+    for i in ids:
+        cols, vals = obj.data.row(i)
+        g[cols] += obj._row_coef(i, vals.dot(w[cols])) * vals
+    g /= len(ids)
+    return g
 
 
 @pytest.mark.parametrize("name", ["blobs600.libsvm", "wide_sparse.libsvm",
-                                  "explicit_zero.libsvm"])
+                                  "explicit_zero.libsvm", "wide-uniform", "wide-mixed"])
+@np.errstate(invalid="ignore", over="ignore")
 def test_logistic_step_equals_dense_update_bitwise(fixtures_dir, name):
     # blobs600 rows share every column; explicit_zero's stored 0.0 makes a
-    # -0.0 gradient entry on a column where z holds -0.0
-    assert_step_is_dense_update(LogisticObjective(load_libsvm(fixtures_dir / name)))
+    # -0.0 gradient entry on a column where z holds -0.0; on the generated
+    # wide sets runs form, so their sweeps take the block path
+    if name.startswith("wide-"):
+        data = wide_dataset(mixed=name == "wide-mixed")
+    else:
+        data = load_libsvm(fixtures_dir / name)
+    obj = LogisticObjective(data)
+    assert_step_is_dense_update(obj)
+    for z in step_points(obj.dim):
+        for batch in step_batches(obj.n):
+            expected = reference_batch_mean_gradient(obj, z, batch.tolist()).tobytes()
+            for ids in (batch.tolist(), batch.astype(np.int64)):
+                assert obj.batch_mean_gradient(z, ids).tobytes() == expected, batch
 
 
 def signed_zero_quadratic():

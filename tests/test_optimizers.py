@@ -12,6 +12,7 @@ from shuffleopt.optimizers import DivergenceError, TraceOptions, run
 from shuffleopt.diagnostics import (center_update_errors, convergence_bound,
                                     epoch_dispersion, momentum_reconstruction_errors)
 from shuffleopt.schedules import ScheduleKind, ScheduleSpec, epoch_step_size
+from wide_sets import wide_dataset
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 RECORD_ALL = TraceOptions(record_iterates=True, record_inner=True)
@@ -360,6 +361,63 @@ def test_batch_rule_is_dense_update_bitwise(optimizer):
             s = eta / n * len(ids) if optimizer == "nasg" else eta
             z -= s * obj.batch_mean_gradient(z, ids)
         assert res.final_x.tobytes() == z.tobytes(), type(obj).__name__
+
+
+def sweep_objectives():
+    """Logistic objectives for the block sweep: the generated wide sets, on
+    which runs form, and three fixtures too small for runs to form, forced
+    onto the block path."""
+    objectives = {"wide-uniform": LogisticObjective(wide_dataset(mixed=False)),
+                  "wide-mixed": LogisticObjective(wide_dataset(mixed=True))}
+    for name in ("wide_sparse", "no_features_row", "explicit_zero"):
+        data = load_libsvm(FIXTURES / f"{name}.libsvm")
+        data.__dict__["runs_form"] = True  # overrides the cached decision
+        objectives[name] = LogisticObjective(data)
+    return objectives
+
+
+def sweep_outcome(obj, method, scheme, schedule, with_replacement, record_inner):
+    """The trace rows, final point and divergence epoch, as bytes."""
+    try:
+        result = run(method, obj, scheme, schedule, seed=3, with_replacement=with_replacement,
+                     options=TraceOptions(record_inner=record_inner))
+        epoch = None
+    except DivergenceError as err:
+        result, epoch = err.partial, err.epoch
+    rows = [(row.epoch, np.array([row.value, row.grad_sq_norm, row.step_size]).tobytes())
+            for row in result.trace]
+    return rows, result.final_x.tobytes(), epoch
+
+
+@pytest.mark.parametrize("name", ["wide-uniform", "wide-mixed", "wide_sparse",
+                                  "no_features_row", "explicit_zero"])
+def test_block_sweep_equals_row_steps_bitwise(name):
+    # recording inner iterates keeps the per-row loop; without it, nasg and
+    # sgd at batch size 1 take one objective.sweep per epoch
+    obj = sweep_objectives()[name]
+    T = 2
+    schedules = {"lr0.5": constant(0.5, T), "lr1e308": constant(1e308, T),
+                 "thm1": ScheduleSpec(ScheduleKind.UNIFIED, T=T, L=1.0)}
+    diverged = []
+    for method, with_replacement in (("nasg", False), ("sgd", False), ("sgd", True)):
+        for schedule in schedules.values():
+            for scheme in ("rr", "ss", "ig"):
+                args = (obj, method, scheme, schedule, with_replacement)
+                swept = sweep_outcome(*args, record_inner=False)
+                assert swept == sweep_outcome(*args, record_inner=True), \
+                    (method, with_replacement, schedule, scheme)
+                diverged.append(swept[2])
+    # the fixtures' values are too small to overflow at lr 1e308
+    assert any(diverged) == name.startswith("wide-")
+
+
+def test_runs_form_on_wide_rows_only():
+    assert wide_dataset(mixed=False).runs_form and wide_dataset(mixed=True).runs_form
+    blobs = load_libsvm(FIXTURES / "blobs600.libsvm")
+    assert not blobs.runs_form
+    # the shortcut agrees with the runs: they average about one row
+    cols, _, lengths = blobs.gather(np.arange(blobs.n))
+    assert len(blobs.disjoint_runs(cols, lengths)) - 1 > 0.99 * blobs.n
 
 
 def test_momentum_identities_on_run():
