@@ -9,7 +9,7 @@ from shuffleopt.objectives import (LogisticObjective, QuadraticObjective,
                                    ReferenceSolveError, SoftmaxObjective, _logaddexp0,
                                    make_quadratic, solve_reference, variance_at_point)
 from shuffleopt.prng import derive_key, standard_normals
-from wide_sets import wide_dataset
+from wide_sets import WIDE_SETS, wide_dataset
 
 RNG = np.random.default_rng(61803)
 
@@ -306,16 +306,13 @@ def reference_batch_mean_gradient(obj, w, ids):
 
 
 @pytest.mark.parametrize("name", ["blobs600.libsvm", "wide_sparse.libsvm",
-                                  "explicit_zero.libsvm", "wide-uniform", "wide-mixed"])
+                                  "explicit_zero.libsvm", *WIDE_SETS])
 @np.errstate(invalid="ignore", over="ignore")
 def test_logistic_step_equals_dense_update_bitwise(fixtures_dir, name):
     # blobs600 rows share every column; explicit_zero's stored 0.0 makes a
     # -0.0 gradient entry on a column where z holds -0.0; on the generated
     # wide sets runs form, so their sweeps take the block path
-    if name.startswith("wide-"):
-        data = wide_dataset(mixed=name == "wide-mixed")
-    else:
-        data = load_libsvm(fixtures_dir / name)
+    data = wide_dataset(name) if name in WIDE_SETS else load_libsvm(fixtures_dir / name)
     obj = LogisticObjective(data)
     assert_step_is_dense_update(obj)
     for z in step_points(obj.dim):

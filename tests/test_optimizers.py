@@ -12,7 +12,7 @@ from shuffleopt.optimizers import DivergenceError, TraceOptions, run
 from shuffleopt.diagnostics import (center_update_errors, convergence_bound,
                                     epoch_dispersion, momentum_reconstruction_errors)
 from shuffleopt.schedules import ScheduleKind, ScheduleSpec, epoch_step_size
-from wide_sets import wide_dataset
+from wide_sets import WIDE_SETS, wide_dataset
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 RECORD_ALL = TraceOptions(record_iterates=True, record_inner=True)
@@ -367,8 +367,7 @@ def sweep_objectives():
     """Logistic objectives for the block sweep: the generated wide sets, on
     which runs form, and three fixtures too small for runs to form, forced
     onto the block path."""
-    objectives = {"wide-uniform": LogisticObjective(wide_dataset(mixed=False)),
-                  "wide-mixed": LogisticObjective(wide_dataset(mixed=True))}
+    objectives = {name: LogisticObjective(wide_dataset(name)) for name in WIDE_SETS}
     for name in ("wide_sparse", "no_features_row", "explicit_zero"):
         data = load_libsvm(FIXTURES / f"{name}.libsvm")
         data.__dict__["runs_form"] = True  # overrides the cached decision
@@ -389,8 +388,8 @@ def sweep_outcome(obj, method, scheme, schedule, with_replacement, record_inner)
     return rows, result.final_x.tobytes(), epoch
 
 
-@pytest.mark.parametrize("name", ["wide-uniform", "wide-mixed", "wide_sparse",
-                                  "no_features_row", "explicit_zero"])
+@pytest.mark.parametrize("name", [*WIDE_SETS, "wide_sparse", "no_features_row",
+                                  "explicit_zero"])
 def test_block_sweep_equals_row_steps_bitwise(name):
     # recording inner iterates keeps the per-row loop; without it, nasg and
     # sgd at batch size 1 take one objective.sweep per epoch
@@ -412,7 +411,7 @@ def test_block_sweep_equals_row_steps_bitwise(name):
 
 
 def test_runs_form_on_wide_rows_only():
-    assert wide_dataset(mixed=False).runs_form and wide_dataset(mixed=True).runs_form
+    assert all(wide_dataset(name).runs_form for name in WIDE_SETS)
     blobs = load_libsvm(FIXTURES / "blobs600.libsvm")
     assert not blobs.runs_form
     # the shortcut agrees with the runs: they average about one row

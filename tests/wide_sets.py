@@ -5,17 +5,22 @@ import numpy as np
 
 from shuffleopt.data import Dataset
 
+# "wide-uniform" has sparse-wide's 8 entries per row; "wide-long" has 24,
+# more than the 16-entry blocks of a BLAS dot kernel; in both every row has
+# one length, so the row dots take one stacked matmul
+WIDE_SETS = ("wide-uniform", "wide-long", "wide-mixed")
 
-def wide_dataset(mixed: bool, n: int = 300, d: int = 6000, seed: int = 0) -> Dataset:
-    """Binary rows of 8 distinct columns with standard normal values.
 
-    The mixed set also holds rows of 20 and 40 entries (longer than the
-    16-entry blocks of a BLAS dot kernel), a stored 0.0, a row with no entries
-    and one row stored twice in succession; the uniform set's rows all have
-    one length, so its row dots take one stacked matmul.
+def wide_dataset(name: str, n: int = 300, d: int = 6000, seed: int = 0) -> Dataset:
+    """Binary rows of distinct columns with standard normal values.
+
+    The mixed set's rows have 8 entries, except for rows of 20 and 40
+    entries, a row with no entries and one row stored twice in succession;
+    it also holds a stored 0.0.
     """
     rng = np.random.default_rng(seed)
-    lengths = np.full(n, 8)
+    lengths = np.full(n, 24 if name == "wide-long" else 8)
+    mixed = name == "wide-mixed"
     if mixed:
         lengths[5::37] = 20
         lengths[11::53] = 40
