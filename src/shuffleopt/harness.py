@@ -1,5 +1,7 @@
 """Experiment runner: declarative configs, learning-rate grid search,
 multi-seed aggregation with confidence intervals, and deterministic artifacts.
+An experiment is built (`build_objective`: every config check, then the
+reference solve), its run table filled one phase at a time, then reported.
 
 Artifacts (fixed schemas, see README):
 
@@ -25,6 +27,7 @@ import sys
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -221,32 +224,59 @@ class RunSummary:
         return cls(**raw)
 
 
-def _objective(config: ExperimentConfig):
-    """The objective of the config's dataset."""
+class Build(NamedTuple):
+    """What every run of an experiment shares, from `build_objective`."""
+    objective: object
+    reference: tuple | None          # (x_star, f_star) when a reference is available
+    schedules: dict                  # (lr, T) -> ScheduleSpec, for every rate and horizon
+    run_args: dict                   # the keyword arguments every run takes
+    x0: np.ndarray                   # the start point
+
+
+def build_objective(config: ExperimentConfig) -> Build:
+    """Load the objective, build every (lr, T) schedule and the shared run
+    arguments, check the start point and the reference rules, then solve.
+    Every lower layer checks the config against its own rules here, and a
+    rejection (or a dataset that cannot be read) becomes a ConfigError; the
+    reference solve, the one costly step, comes after every check."""
     ds = config.dataset
-    if ds["kind"] == "quadratic":
-        ds = {**_DEFAULT_DATASET, **ds}
-        objective = make_quadratic(int(ds["n"]), int(ds["d"]), int(ds["seed"]),
-                                   float(ds["spread"]))[0]
-    else:
-        # the loader's own signature states the defaults
-        dataset = load_libsvm(ds["path"], **{key: ds[key] for key in
-                                             ("mode", "dim", "add_bias", "scale") if key in ds})
-        objective = LogisticObjective(dataset) if ds.get("objective", "logistic") == "logistic" \
-            else SoftmaxObjective(dataset)
-    return objective
-
-
-def _has_reference(config: ExperimentConfig) -> bool:
-    # "auto" means the closed form, which only quadratics have
-    return config.reference != "none" and (config.reference != "auto"
-                                           or config.dataset["kind"] == "quadratic")
-
-
-def build_objective(config: ExperimentConfig):
-    """Objective plus (x_star, f_star) when a reference is available."""
-    objective = _objective(config)
-    return objective, solve_reference(objective) if _has_reference(config) else None
+    try:
+        if ds["kind"] == "quadratic":
+            ds = {**_DEFAULT_DATASET, **ds}
+            objective = make_quadratic(int(ds["n"]), int(ds["d"]), int(ds["seed"]),
+                                       float(ds["spread"]))[0]
+        else:
+            # the loader's own signature states the defaults
+            options = {key: ds[key] for key in ("mode", "dim", "add_bias", "scale") if key in ds}
+            dataset = load_libsvm(ds["path"], **options)
+            objective = LogisticObjective(dataset) \
+                if ds.get("objective", "logistic") == "logistic" else SoftmaxObjective(dataset)
+        rates = config.grid if config.grid is not None else (config.schedule.get("lr"),)
+        schedules = {(lr, T): _make_schedule(config, objective, lr, T) for lr in rates
+                     for T in (config.epochs, *(config.rate_epochs or ()))}
+        run_args = dict(batch_size=config.batch_size, x0=config.x0,
+                        options=TraceOptions(record_accuracy=config.record_accuracy,
+                                             record_dispersion=config.record_dispersion),
+                        with_replacement=config.with_replacement, sgdm_beta=config.sgdm_beta,
+                        adam_beta1=config.adam_beta1, adam_beta2=config.adam_beta2,
+                        adam_eps=config.adam_eps)
+        x0 = start_point(config.optimizer, objective, **run_args)
+        # "auto" means the closed form, which only quadratics have
+        has_reference = config.reference != "none" and (config.reference != "auto"
+                                                        or ds["kind"] == "quadratic")
+        if not has_reference and config.bounds:
+            raise ConfigError("bound reports need a reference (minimizer oracle)")
+        if not has_reference and config.rate_epochs:
+            raise ConfigError("rate fitting needs a reference (minimizer oracle)")
+        for regime in config.bounds:  # the regime's own rules, with the reference's terms at 0
+            _bound(config, objective, regime, 0.0, 0.0)
+        reference = solve_reference(objective) if has_reference else None
+    except (OSError, ValueError) as err:
+        raise ConfigError(str(err)) from err
+    except ReferenceSolveError as err:
+        raise HarnessError(f"{err}: gradient norm {err.grad_norm!r} after "
+                           f"{err.iterations} iterations") from err
+    return Build(objective, reference, schedules, run_args, x0)
 
 
 def _make_schedule(config: ExperimentConfig, objective, lr, T) -> ScheduleSpec:
@@ -263,27 +293,36 @@ def _finite(row) -> bool:
                for x in (row.value, row.grad_sq_norm, row.disp_start, row.disp_end))
 
 
-def _runs(table: dict, key, config: ExperimentConfig, objective, schedules, run_args) -> list:
-    """The table entry for key = (lr, T): per seed, the result and the epoch of
-    divergence (None if the run completed).  Each entry runs once.
+def _fill(table: dict, keys, config: ExperimentConfig, build: Build):
+    """Run one phase: each key = (lr, T) of `keys` that the table lacks gets, per
+    seed, the result and the epoch of divergence (None if the run completed).
 
     A seed diverges at its first non-finite iterate or at its first trace row
     holding a non-finite number (values can overflow while the iterate stays
     finite), whichever epoch comes first; its trace keeps the rows before it.
     """
-    if key not in table:
+    for key in keys:
+        if key in table:
+            continue
         table[key] = []
         for seed in config.seeds:
             try:
-                result, bad = run(config.optimizer, objective, config.scheme, schedules[key],
-                                  seed=seed, **run_args), None
+                result, bad = run(config.optimizer, build.objective, config.scheme,
+                                  build.schedules[key], seed=seed, **build.run_args), None
             except DivergenceError as err:
                 result, bad = err.partial, err.epoch
             k = next((k for k, row in enumerate(result.trace) if not _finite(row)), None)
             if k is not None:
                 result, bad = replace(result, trace=result.trace[:k]), result.trace[k].epoch
             table[key].append((result, bad))
-    return table[key]
+
+
+def _bound(config: ExperimentConfig, objective, regime: str, sigma_star_sq, delta) -> float:
+    """The regime's guarantee at T = epochs."""
+    return convergence_bound(regime, config.epochs, L=objective.smoothness_bound(),
+                             sigma_star_sq=sigma_star_sq, delta=delta, n=objective.n,
+                             theta=float(config.schedule.get("theta", 0.0)),
+                             sigma_sq=float(config.schedule.get("sigma_sq", sigma_star_sq)))
 
 
 def _fmt(x) -> str:
@@ -331,90 +370,54 @@ def _mean_ci(series: list[list[float]]):
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
-    """Build, run, then write the experiment's artifacts.
+    """Build, fill the run table one phase at a time, then report from the
+    table and write the experiment's artifacts.
 
-    Every run comes from one table keyed by (lr, T), so the rate sweep reuses
-    the primary runs at T = epochs.  Grid search (constant schedule only)
-    selects the lowest seed-mean final training loss among entries where no
-    seed diverged, ties toward the smaller rate, and the rate sweep uses that
-    rate.  A diverged primary seed marks the summary degraded instead of
-    aborting; an exception before the summary is built leaves nothing written.
+    The table is keyed by (lr, T); the phases are the grid at T = epochs, then
+    the selected or configured rate at epochs and at every rate horizon.  Grid
+    search (constant schedule only) selects the lowest seed-mean final
+    training loss among entries where no seed diverged, ties toward the
+    smaller rate.  A diverged primary seed marks the summary degraded instead
+    of aborting; an exception before the summary leaves nothing written.
     """
     out = Path(out_dir if out_dir is not None else (config.out or "results"))
-    # build: every lower layer checks the config against its own rules here,
-    # before any run, and a rejection (or a dataset that cannot be read)
-    # becomes a ConfigError; the reference solve, the one costly step, comes
-    # after every check that does not need its result
-    try:
-        objective = _objective(config)
-        rates = config.grid if config.grid is not None else (config.schedule.get("lr"),)
-        schedules = {(lr, T): _make_schedule(config, objective, lr, T) for lr in rates
-                     for T in (config.epochs, *(config.rate_epochs or ()))}
-        # the arguments every run shares, checked once here
-        run_args = dict(batch_size=config.batch_size, x0=config.x0,
-                        options=TraceOptions(record_accuracy=config.record_accuracy,
-                                             record_dispersion=config.record_dispersion),
-                        with_replacement=config.with_replacement, sgdm_beta=config.sgdm_beta,
-                        adam_beta1=config.adam_beta1, adam_beta2=config.adam_beta2,
-                        adam_eps=config.adam_eps)
-        x0 = start_point(config.optimizer, objective, **run_args)
-        has_reference = _has_reference(config)
-        if not has_reference and config.bounds:
-            raise ConfigError("bound reports need a reference (minimizer oracle)")
-        if not has_reference and config.rate_epochs:
-            raise ConfigError("rate fitting needs a reference (minimizer oracle)")
-        ref = solve_reference(objective) if has_reference else None
-        f_star = reference_info = constants = None
-        bounds = []  # (regime, bound at T = epochs) per requested regime
-        if ref is not None:
-            x_star, f_star = ref
-            with np.errstate(over="ignore"):
-                delta = float(np.sum((x0 - x_star) ** 2))
-            if not math.isfinite(delta):
-                raise ConfigError("||x0 - x_star||^2 overflows; choose a smaller x0")
-            reference_info = {
-                "f_star": f_star,
-                "sigma_star_sq": variance_at_point(objective, x_star),
-                "delta": delta,
-            }
-        if config.bounds:
-            L = objective.smoothness_bound()
-            constants = {"L": L, "n": objective.n, **reference_info}
-            sigma_sq = float(config.schedule.get("sigma_sq", reference_info["sigma_star_sq"]))
-            bounds = [(regime, convergence_bound(
-                regime, config.epochs, L=L, sigma_star_sq=reference_info["sigma_star_sq"],
-                delta=reference_info["delta"], theta=float(config.schedule.get("theta", 0.0)),
-                sigma_sq=sigma_sq, n=objective.n)) for regime in config.bounds]
-    except (OSError, ValueError) as err:
-        raise ConfigError(str(err)) from err
-    except ReferenceSolveError as err:
-        raise HarnessError(f"{err}: gradient norm {err.grad_norm!r} after "
-                           f"{err.iterations} iterations") from err
+    build = build_objective(config)
+    objective, epochs, seeds = build.objective, config.epochs, config.seeds
+    f_star = reference_info = None
+    if build.reference is not None:
+        x_star, f_star = build.reference
+        with np.errstate(over="ignore"):
+            delta = float(np.sum((build.x0 - x_star) ** 2))
+        if not math.isfinite(delta):
+            raise ConfigError("||x0 - x_star||^2 overflows; choose a smaller x0")
+        sigma_star_sq = variance_at_point(objective, x_star)
+        reference_info = {"f_star": f_star, "sigma_star_sq": sigma_star_sq, "delta": delta}
 
     table = {}
-    artifacts = {}  # relative path -> text
     grid_rows = selected_lr = None
     lr = config.schedule.get("lr")  # the configured rate, unless a grid selects one
     if config.grid is not None:
+        _fill(table, [(grid_lr, epochs) for grid_lr in config.grid], config, build)
         grid_rows = []
         for grid_lr in config.grid:
-            runs = _runs(table, (grid_lr, config.epochs), config, objective, schedules, run_args)
+            runs = table[grid_lr, epochs]
             finals = [result.final_value for result, bad in runs if bad is None]
             grid_rows.append({"lr": grid_lr, "diverged": any(bad is not None for _, bad in runs),
                               "mean_final_value": (sum(finals) / len(finals)) if finals else None})
-            for (result, _), seed in zip(runs, config.seeds):
-                if result.trace:
-                    artifacts[f"runs/lr{grid_lr!r}/seed{seed}.csv"] = \
-                        _trace_csv(result.trace, f_star)
         eligible = [g for g in grid_rows if not g["diverged"]]
         if not eligible:
             raise HarnessError("every grid entry diverged")
         lr = selected_lr = min(eligible, key=lambda g: (g["mean_final_value"], g["lr"]))["lr"]
+    _fill(table, [(lr, T) for T in (epochs, *(config.rate_epochs or ()))], config, build)
 
+    artifacts = {}  # relative path -> text
+    for grid_lr in config.grid or ():
+        for (result, _), seed in zip(table[grid_lr, epochs], seeds):
+            if result.trace:
+                artifacts[f"runs/lr{grid_lr!r}/seed{seed}.csv"] = _trace_csv(result.trace, f_star)
     per_seed = []
-    completed = []
-    primary = _runs(table, (lr, config.epochs), config, objective, schedules, run_args)
-    for (result, bad_epoch), seed in zip(primary, config.seeds):
+    completed = [result.trace for result, bad in table[lr, epochs] if bad is None]
+    for (result, bad_epoch), seed in zip(table[lr, epochs], seeds):
         trace = result.trace
         entry = {
             "seed": seed,
@@ -426,8 +429,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
         }
         if bad_epoch is not None:
             entry["diverged_at_epoch"] = bad_epoch
-        else:
-            completed.append(trace)
         per_seed.append(entry)
         if trace:
             artifacts[f"runs/seed{seed}.csv"] = _trace_csv(trace, f_star)
@@ -448,17 +449,18 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
     if config.record_accuracy and completed and completed[0][0].accuracy is not None:
         acc_mean, acc_lo, acc_hi = _mean_ci([[r.accuracy for r in t] for t in completed])
 
-    bound_reports = [_bound_report(regime, bound, config.epochs, constants, per_seed)
-                     for regime, bound in bounds]
+    bound_reports = [_bound_report(
+        regime, _bound(config, objective, regime, sigma_star_sq, delta), epochs,
+        {"L": objective.smoothness_bound(), "n": objective.n, **reference_info}, per_seed)
+        for regime in config.bounds]
     rate = None
     if config.rate_epochs:
-        gaps = []
-        for T in config.rate_epochs:
-            runs = _runs(table, (lr, T), config, objective, schedules, run_args)
-            for (_, bad), seed in zip(runs, config.seeds):
+        for T in config.rate_epochs:  # the first diverged (T, seed) in config order
+            for (_, bad), seed in zip(table[lr, T], seeds):
                 if bad is not None:
                     raise HarnessError(f"rate sweep diverged at T={T}, seed={seed}")
-            gaps.append(sum(result.final_value - f_star for result, _ in runs) / len(runs))
+        gaps = [sum(result.final_value - f_star for result, _ in table[lr, T]) / len(seeds)
+                for T in config.rate_epochs]
         try:
             fit = fit_rate(zip(config.rate_epochs, gaps))
         except ValueError as err:

@@ -153,19 +153,20 @@ class LogisticObjective(Objective):
         np.exp(coef, out=coef)
         return np.multiply(-y, coef, out=coef)
 
+    def _row_grads(self, labels, vals, w_cols, lengths):
+        """The gathered rows' gradients, flat: each row's coefficient times
+        its values, where w_cols holds w at the rows' columns."""
+        grads = np.repeat(self._coefs(labels, self.data.row_dots(vals, w_cols, lengths)), lengths)
+        grads *= vals
+        return grads
+
     def batch_mean_gradient(self, w, ids):
         """One gather of the batch's rows; their gradients are summed into
         zeros in batch order by one `np.add.at`, and only the touched columns
-        are divided, since every other entry is +0.0 and +0.0 / k is +0.0.
-        A single row takes `component_gradient`."""
-        if len(ids) == 1:
-            return self.component_gradient(w, int(ids[0]))
+        are divided, since every other entry is +0.0 and +0.0 / k is +0.0."""
         ids = np.asarray(ids)
-        data = self.data
-        cols, vals, lengths = data.gather(ids)
-        grads = np.repeat(self._coefs(data.labels[ids], data.row_dots(vals, w[cols], lengths)),
-                          lengths)
-        grads *= vals
+        cols, vals, lengths = self.data.gather(ids)
+        grads = self._row_grads(self.data.labels[ids], vals, w[cols], lengths)
         g = np.zeros(self.dim)
         np.add.at(g, cols, grads)
         g[cols] /= len(ids)
@@ -190,12 +191,12 @@ class LogisticObjective(Objective):
         z[cols] = zc
 
     def sweep(self, z, order, scale):
-        """Where runs form, each greedy run of two or more rows with pairwise
-        disjoint columns is one block: one gather of z at the run's columns,
-        each row's margin from it, the coefficients as arrays, the row step's
-        `+= 0.0`, `*= scale` and subtraction in the same order, one scatter.
+        """Where runs form, each greedy run of rows with pairwise disjoint
+        columns is one block: one gather of z at the run's columns, each row's
+        margin from it, the coefficients as arrays, the row step's `+= 0.0`,
+        `*= scale` and subtraction in the same order, one scatter.
         No row of a run reads a column another row of the run writes, so the
-        block equals the row steps bitwise.  A run of one row takes `row_step`.
+        block equals the row steps bitwise.
         """
         data = self.data
         if not data.runs_form:
@@ -207,15 +208,10 @@ class LogisticObjective(Objective):
         labels = data.labels[order]
         for k in range(len(starts) - 1):
             a, b = starts[k], starts[k + 1]
-            if b - a == 1:
-                self.row_step(z, int(order[a]), scale)
-                continue
             lo, hi = bounds[k], bounds[k + 1]
-            run_cols, run_vals, run_lengths = cols[lo:hi], vals[lo:hi], lengths[a:b]
+            run_cols = cols[lo:hi]
             zc = z[run_cols]
-            grad = np.repeat(self._coefs(labels[a:b], data.row_dots(run_vals, zc, run_lengths)),
-                             run_lengths)
-            grad *= run_vals
+            grad = self._row_grads(labels[a:b], vals[lo:hi], zc, lengths[a:b])
             grad += 0.0
             grad *= scale
             zc -= grad
@@ -226,9 +222,7 @@ class LogisticObjective(Objective):
         return float(np.logaddexp(0.0, -margins).mean())
 
     def full_gradient(self, w):
-        margins = self.data.labels * self.data.dot(w)
-        coef = -self.data.labels * np.exp(-np.logaddexp(0.0, margins)) / self.n
-        return self.data.tdot(coef)
+        return self.data.tdot(self._coefs(self.data.labels, self.data.dot(w)) / self.n)
 
     def accuracy(self, w):
         predicted = np.where(self.data.dot(w) >= 0.0, 1.0, -1.0)

@@ -161,6 +161,19 @@ def test_round_trip_generated(ds):
 
 
 def test_dataset_invariant_violations():
+    one_row = dict(d=2, c=1, indices=[0], values=[1.0])
+    with pytest.raises(ValueError, match="at least one sample"):
+        Dataset(n=0, d=1, c=1, indptr=[0], indices=[], values=[], labels=[])
+    for indptr in ([0], [1, 1], [0, 2]):  # indptr's shape, first entry, last entry
+        with pytest.raises(ValueError, match="bad row layout"):
+            Dataset(n=1, indptr=indptr, labels=[1.0], **one_row)
+    with pytest.raises(ValueError, match="bad row layout"):  # values and indices differ
+        Dataset(n=1, d=2, c=1, indptr=[0, 1], indices=[0], values=[1.0, 2.0], labels=[1.0])
+    with pytest.raises(ValueError, match="bad row layout"):  # a decreasing indptr
+        Dataset(n=2, indptr=[0, 2, 1], labels=[1.0, 1.0], **one_row)
+    with pytest.raises(ValueError, match="class ids"):
+        Dataset(n=2, d=1, c=2, indptr=[0, 1, 2], indices=[0, 0], values=[1.0, 1.0],
+                labels=[0, 2])
     with pytest.raises(ValueError, match="strictly increasing"):
         Dataset(n=1, d=3, c=1, indptr=[0, 2], indices=[2, 1], values=[1.0, 1.0], labels=[1.0])
     with pytest.raises(ValueError, match="out of range"):

@@ -299,6 +299,9 @@ def test_emit_plot_data_missing_metric(tmp_path):
     summary = run_experiment(config, tmp_path / "runs")
     with pytest.raises(ValueError, match="no gap series"):
         emit_plot_data([summary], tmp_path / "plot.csv", metric="gap")
+    with pytest.raises(ValueError, match="unknown metric 'loss'"):
+        emit_plot_data([summary], tmp_path / "plot.csv", metric="loss")
+    assert not (tmp_path / "plot.csv").exists()
 
 
 # --------------------------------------------------------------------- cli
@@ -346,6 +349,12 @@ def test_cli_libsvm_dataset(tmp_path):
     code = main(["run", "--dataset", str(fixture), "--optimizer", "sgd",
                  "--lr", "0.1", "--epochs", "2", "--seeds", "1", "--out", str(out)])
     assert code == 0
+    # --objective writes into the dataset that --dataset sets
+    out = tmp_path / "softmax"
+    assert main(["run", "--dataset", str(FIXTURES / "multiclass_3.libsvm"), "--objective",
+                 "softmax", "--lr", "0.1", "--epochs", "2", "--seeds", "1", "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["config"]["dataset"] == {
+        "kind": "libsvm", "path": str(FIXTURES / "multiclass_3.libsvm"), "objective": "softmax"}
 
 
 BAD_CONFIGS = {
@@ -437,10 +446,18 @@ BAD_CONFIGS = {
                                           "path": str(FIXTURES / "blobs600.libsvm")},
                               "reference": "closed-form"},
     "objective-flag-on-quadratic": {},
+    "unknown-libsvm-mode": {"dataset": {"kind": "libsvm", "mode": "x",
+                                        "path": str(FIXTURES / "blobs600.libsvm")}},
     # checked before the reference solve, which finds no minimum on these two rows
     "batch-exceeds-n-before-solve": {
         "dataset": {"kind": "libsvm", "path": str(FIXTURES / "scientific_values.libsvm")},
         "reference": "solve", "batch_size": 99, "seeds": [1]},
+    "unknown-bound-regime-before-solve": {
+        "dataset": {"kind": "libsvm", "path": str(FIXTURES / "scientific_values.libsvm")},
+        "reference": "solve", "seeds": [1], "bounds": ["thm9"]},
+    "constant-bound-before-solve": {
+        "dataset": {"kind": "libsvm", "path": str(FIXTURES / "scientific_values.libsvm")},
+        "reference": "solve", "seeds": [1], "bounds": ["constant"]},
 }
 BAD_FLAGS = {"theta-without-thm2": ["--theta", "0.5"],
              "list-config-with-flag": ["--epochs", "3"],
@@ -469,7 +486,11 @@ BAD_KEYS = {"nan-lr": "schedule.lr", "infinite-lr": "schedule.lr", "nan-grid-rat
             "negative-sigma-sq": "error: schedule.sigma_sq must be >= 0",
             "closed-form-on-libsvm": "error: closed-form reference only exists",
             "objective-flag-on-quadratic": "error: --objective only applies to libsvm",
-            "batch-exceeds-n-before-solve": "error: batch_size must be in [1, 2]\n"}
+            "unknown-libsvm-mode": "error: unknown mode 'x'\n",
+            "batch-exceeds-n-before-solve": "error: batch_size must be in [1, 2]\n",
+            "unknown-bound-regime-before-solve": "error: 'thm9' is not a valid ScheduleKind\n",
+            "constant-bound-before-solve":
+                "error: no closed-form guarantee for constant steps\n"}
 
 
 @pytest.mark.parametrize("probe", sorted(BAD_CONFIGS))
@@ -490,10 +511,11 @@ def test_config_error_comes_before_the_reference_solve(tmp_path, capsys, monkeyp
     solves = []
     monkeypatch.setattr(harness, "solve_reference", solves.append)
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"epochs": 2,
-                                       **BAD_CONFIGS["batch-exceeds-n-before-solve"]}))
-    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "error: batch_size must be in [1, 2]\n"
+    for probe in ("batch-exceeds-n-before-solve", "unknown-bound-regime-before-solve",
+                  "constant-bound-before-solve"):
+        config_path.write_text(json.dumps({"epochs": 2, **BAD_CONFIGS[probe]}))
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == BAD_KEYS[probe]
     assert solves == []
 
 

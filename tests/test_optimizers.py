@@ -450,6 +450,8 @@ def test_run_validation():
         run("sgd", obj, "rr", sched, batch_size=9)
     with pytest.raises(ValueError, match="finite"):
         run("sgd", obj, "rr", sched, x0=np.array([np.nan, 0.0]))
+    with pytest.raises(ValueError, match="x0 must be finite"):  # beyond the float range
+        run("sgd", obj, "rr", sched, x0=[10**400, 0.0])
     # the moment constants are checked whatever the optimizer
     for key, value in [("sgdm_beta", -3), ("sgdm_beta", 1.0), ("adam_beta1", 1.0),
                        ("adam_beta1", -0.1), ("adam_beta2", 1.5), ("adam_beta2", np.nan),

@@ -1,0 +1,80 @@
+"""The numpy and BLAS behaviour that the bitwise gates rest on.
+
+The golden digests, the CLI corpus and the block-sweep tests compare bytes.
+The fast paths keep those bytes only where numpy and the BLAS kernel behave
+as witnessed here, one small test per assumption, so that on a host where one
+fails the failure names the assumption and the host instead of a digest.
+OpenBLAS picks its kernels by CPU at run time (``OPENBLAS_CORETYPE`` forces
+one), so the kernel in use is part of what a failure prints.
+"""
+
+import ctypes
+import math
+from pathlib import Path
+
+import numpy as np
+
+
+def _host() -> str:
+    """numpy's version, its BLAS build and the OpenBLAS kernel in use."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy before 1.26 only prints its configuration
+        blas = {}
+    core = "unknown"
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            core = corename().decode()
+    return (f"numpy {np.__version__}; BLAS {blas.get('name')} {blas.get('version')} "
+            f"({blas.get('openblas configuration', 'no configuration')}); kernel {core}")
+
+
+def logaddexp_cases():
+    tiny = float(np.finfo(np.float64).smallest_subnormal)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, tiny, -tiny, 1e3 * tiny,
+               -1e3 * tiny, 709.0, -709.0, 745.0, -745.0, 709.8, -709.8, 745.2, -745.2]
+    rng = np.random.default_rng(2718)
+    draws = [scale * rng.standard_normal(20_000) for scale in (0.1, 1.0, 10.0, 100.0, 300.0)]
+    return special + np.concatenate(draws).tolist()
+
+
+def test_stacked_matmul_equals_row_dot():
+    # Dataset.row_dots takes every row of one length in one stacked matmul;
+    # the row steps take each row's margin with ndarray.dot
+    rng = np.random.default_rng(40)
+    for width in range(1, 41):
+        vals = rng.standard_normal((64, width)) * 10.0 ** rng.integers(-8, 9, size=(64, width))
+        w = rng.standard_normal((64, width))
+        stacked = np.matmul(vals.reshape(64, 1, width), w.reshape(64, width, 1)).reshape(64)
+        rows = np.array([vals[k].dot(w[k]) for k in range(64)])
+        assert stacked.tobytes() == rows.tobytes(), f"row length {width}; {_host()}"
+
+
+def test_add_at_sums_repeated_indices_in_index_order():
+    # the logistic batch gradient scatters its rows with one np.add.at, which
+    # must add in batch order, as the per-row loop did
+    rng = np.random.default_rng(7)
+    ids = rng.integers(0, 5, size=400)
+    vals = rng.standard_normal(400) * 10.0 ** rng.integers(-12, 13, size=400)
+    got = np.zeros(5)
+    np.add.at(got, ids, vals)
+    in_order, reversed_order = np.zeros(5), np.zeros(5)
+    for i, v in zip(ids.tolist(), vals.tolist()):
+        in_order[i] += v
+    for i, v in zip(ids.tolist()[::-1], vals.tolist()[::-1]):
+        reversed_order[i] += v
+    assert in_order.tobytes() != reversed_order.tobytes()  # the sums depend on the order
+    assert got.tobytes() == in_order.tobytes(), _host()
+
+
+@np.errstate(invalid="ignore")  # numpy flags its comparisons on nan
+def test_array_exp_and_logaddexp_equal_their_scalar_forms():
+    # the block sweep's coefficients come from numpy's array loops and the row
+    # step's from the scalar forms
+    margins = np.array(logaddexp_cases())
+    for y in (-1.0, 1.0):
+        scalar = [-y * float(np.exp(-float(np.logaddexp(0.0, y * m)))) for m in margins.tolist()]
+        assert (-y * np.exp(-np.logaddexp(0, y * margins))).tobytes() == \
+            np.array(scalar).tobytes(), _host()

@@ -59,6 +59,8 @@ def test_power_two_ways_agree():
 def test_guarantee_kinds_need_T_at_least_2():
     with pytest.raises(ScheduleError, match="theory requires T >= 2"):
         ScheduleSpec(ScheduleKind.UNIFIED, T=1, L=1.0)
+    with pytest.raises(ScheduleError, match="T must be >= 1"):  # a constant schedule needs 1
+        ScheduleSpec("constant", 0, lr=0.1)
 
 
 def test_missing_constants():
