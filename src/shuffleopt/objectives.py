@@ -222,7 +222,8 @@ class LogisticObjective(Objective):
         return float(np.logaddexp(0.0, -margins).mean())
 
     def full_gradient(self, w):
-        return self.data.tdot(self._coefs(self.data.labels, self.data.dot(w)) / self.n)
+        coef = self._coefs(self.data.labels, self.data.dot(w))
+        return self.data.tdot(coef / self.n)
 
     def accuracy(self, w):
         predicted = np.where(self.data.dot(w) >= 0.0, 1.0, -1.0)
