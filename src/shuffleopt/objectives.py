@@ -19,12 +19,22 @@ batch gradient gathers its rows once and scatters them with one ordered
 `np.add.at`.  nag's step, z -= scale * full_gradient(z), and nasg-pi's
 in-place extrapolation need nothing more.  Objectives keep no scratch arrays
 between calls.
+
+`live_twin` is an objective over the live parameters alone, those whose
+gradient some row can make nonzero, with their indices into the parameter
+vector; None when every parameter is live (always for the quadratic).  The
+logistic twin runs over `Dataset.renumbered()`; the softmax twin drops the
+dead columns from each class block and keeps the offsets.  A twin's values,
+and its gradients on the parameters it keeps, equal the full objective's
+bitwise; every other gradient entry is +0.0.  It is built at first use and
+kept.
 """
 
 from __future__ import annotations
 
 import abc
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -104,6 +114,9 @@ class Objective(abc.ABC):
         """Training accuracy where defined; None for regression-style sums."""
         return None
 
+    # (objective over the live parameters, their indices), or None
+    live_twin: tuple[Objective, np.ndarray] | None = None
+
 
 class LogisticObjective(Objective):
     """Binary logistic loss: f(w; i) = log(1 + exp(-y_i <x_i, w>)).
@@ -125,6 +138,13 @@ class LogisticObjective(Objective):
         if self._L == 0.0:
             raise ValueError("degenerate objective, L=0")
         return self._L
+
+    @cached_property
+    def live_twin(self):
+        live = self.data.live_columns
+        if live.size == self.dim:
+            return None
+        return LogisticObjective(self.data.renumbered()), live
 
     def component_value(self, w, i):
         cols, vals = self.data.row(i)
@@ -163,7 +183,11 @@ class LogisticObjective(Objective):
     def batch_mean_gradient(self, w, ids):
         """One gather of the batch's rows; their gradients are summed into
         zeros in batch order by one `np.add.at`, and only the touched columns
-        are divided, since every other entry is +0.0 and +0.0 / k is +0.0."""
+        are divided, since every other entry is +0.0 and +0.0 / k is +0.0.
+        A one-row batch is `component_gradient`, the same sum without the
+        gather."""
+        if len(ids) == 1:
+            return self.component_gradient(w, int(ids[0]))
         ids = np.asarray(ids)
         cols, vals, lengths = self.data.gather(ids)
         grads = self._row_grads(self.data.labels[ids], vals, w[cols], lengths)
@@ -250,6 +274,15 @@ class SoftmaxObjective(Objective):
 
     def smoothness_bound(self) -> float:
         return self._L
+
+    @cached_property
+    def live_twin(self):
+        live = self.data.live_columns
+        if live.size == self.d:
+            return None
+        blocks = [k * self.d + live for k in range(self.c)]
+        keep = np.concatenate([*blocks, self.c * self.d + np.arange(self.c)])
+        return SoftmaxObjective(self.data.renumbered()), keep
 
     def unpack(self, w):
         return w[: self.c * self.d].reshape(self.c, self.d), w[self.c * self.d:]

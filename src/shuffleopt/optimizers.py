@@ -36,6 +36,16 @@ nasg family applies batches with per-component step eta_t/n, so batch size 1
 recovers the per-sample sweep exactly and batch size n recovers one
 full-gradient step of size eta_t.
 
+A parameter no row can move (a column no row stores) keeps its start value
+in every method, so where the objective has a live twin (`objectives`) `run`
+sweeps on the twin instead: it takes x0's live entries in, and hands every
+point it returns or records back at full width, each dead entry holding
+x0's bits.  Each trace row's squared gradient norm is taken on the twin's
+gradient scattered into a zeroed full-width buffer, one scatter per epoch,
+which equals the full-width gradient bitwise.  `run` stays at full width
+when inner iterates or the dispersion are recorded, and when x0 has a -0.0
+on a dead entry, which the Nesterov extrapolation turns into +0.0.
+
 Divergence (a non-finite iterate) is a first-class outcome: `run`
 raises DivergenceError carrying the partial trace instead of crashing.  A
 non-finite value never turns finite again, so checking once per epoch
@@ -182,6 +192,38 @@ def _moment_step(optimizer: str, objective, sgdm_beta: float, adam_beta1: float,
     return adam_step
 
 
+def _space(objective, x: np.ndarray, options: TraceOptions):
+    """The objective and start point the epochs run on, the map from their
+    points back to full width, and the squared norm of a full gradient.
+
+    That is the objective's live twin when it has one, unless inner iterates
+    or the dispersion are recorded (their sums would group differently over
+    fewer entries) or x has a -0.0 on a dead parameter (the Nesterov
+    extrapolation turns it into +0.0 at full width).  Every other dead entry
+    keeps x's bits through every method, and a full gradient is +0.0 there;
+    the norm is taken on the gradient scattered back to full width, since
+    ddot groups a shorter sum differently.
+    """
+    twin = None if options.record_inner or options.record_dispersion else objective.live_twin
+    if twin is not None:
+        compact, keep = twin
+        negative_zero = np.signbit(x) & (x == 0.0)
+        if np.count_nonzero(negative_zero) == np.count_nonzero(negative_zero[keep]):
+            wide = np.zeros(objective.dim)
+
+            def expand(v):
+                out = x.copy()
+                out[keep] = v
+                return out
+
+            def sq_norm(g):
+                wide[keep] = g
+                return float(wide @ wide)
+
+            return compact, x[keep], expand, sq_norm
+    return objective, x, np.copy, lambda g: float(g @ g)
+
+
 def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0,
         batch_size: int = 1, x0=None, options: TraceOptions | None = None, *,
         sgdm_beta: float = 0.9, adam_beta1: float = 0.9, adam_beta2: float = 0.999,
@@ -201,6 +243,7 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
     x = start_point(optimizer, objective, batch_size=batch_size, x0=x0, options=options,
                     with_replacement=with_replacement, sgdm_beta=sgdm_beta,
                     adam_beta1=adam_beta1, adam_beta2=adam_beta2, adam_eps=adam_eps)
+    objective, x, expand, sq_norm = _space(objective, x, options)
     scheme = ShufflingScheme(scheme, seed)
     n, dim, T = objective.n, objective.dim, schedule.T
     need_inner = options.record_inner or options.record_dispersion
@@ -232,8 +275,8 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
     y = x.copy()
 
     trace: list[EpochTrace] = []
-    x_snaps = [x.copy()] if options.record_iterates else None
-    y_snaps = [y.copy()] if options.record_iterates and nesterov else None
+    x_snaps = [expand(x)] if options.record_iterates else None
+    y_snaps = [expand(y)] if options.record_iterates and nesterov else None
     inner_all: list[np.ndarray] | None = [] if options.record_inner else None
     perms: list[np.ndarray] | None = [] if options.record_inner else None
 
@@ -276,7 +319,7 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
                         inner[block] = z
             if not np.isfinite(z).all():
                 raise DivergenceError(f"non-finite iterate in epoch {t}", t,
-                                      RunResult(trace, x.copy(), x_snaps, y_snaps,
+                                      RunResult(trace, expand(x), x_snaps, y_snaps,
                                                 inner_all, perms))
             if pi:
                 x, y = x_step, z
@@ -287,7 +330,7 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
 
             g = objective.full_gradient(x)
             row = EpochTrace(epoch=t, value=objective.full_value(x),
-                             grad_sq_norm=float(g @ g), step_size=eta)
+                             grad_sq_norm=sq_norm(g), step_size=eta)
             if options.record_accuracy:
                 row.accuracy = objective.accuracy(x)
             if options.record_dispersion:
@@ -295,11 +338,11 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
                 row.disp_start, row.disp_end = dispersion.start_msd, dispersion.end_msd
         trace.append(row)
         if options.record_iterates:
-            x_snaps.append(x.copy())
+            x_snaps.append(expand(x))
             if y_snaps is not None:
-                y_snaps.append(y.copy())
+                y_snaps.append(expand(y))
         if options.record_inner:
             inner_all.append(inner)
             perms.append(order.copy())
 
-    return RunResult(trace, x.copy(), x_snaps, y_snaps, inner_all, perms)
+    return RunResult(trace, expand(x), x_snaps, y_snaps, inner_all, perms)

@@ -205,6 +205,26 @@ def test_dataset_products_match_dense(fixtures_dir, name):
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["no_features_row.libsvm", "explicit_zero.libsvm",
+                                  "wide_sparse.libsvm", "multiclass_3.libsvm"])
+def test_renumbered_products_equal_the_full_ones_bitwise(fixtures_dir, name):
+    ds = load_libsvm(fixtures_dir / name)
+    ds = load_libsvm(fixtures_dir / name, dim=ds.d + 3)  # three more dead columns
+    live = ds.live_columns
+    assert live.tolist() == sorted(set(ds.indices.tolist()))
+    twin = ds.renumbered()
+    assert (twin.n, twin.d, twin.c) == (ds.n, live.size, ds.c)
+    for shared in ("indptr", "values", "labels"):
+        assert getattr(twin, shared) is getattr(ds, shared)
+    assert np.array_equal(live[twin.indices], ds.indices)
+    rng = np.random.default_rng(12)
+    w, coef = rng.normal(size=ds.d), rng.normal(size=ds.n)
+    assert twin.dot(w[live]).tobytes() == ds.dot(w).tobytes()
+    scattered = np.zeros(ds.d)
+    scattered[live] = twin.tdot(coef)
+    assert scattered.tobytes() == ds.tdot(coef).tobytes()
+
+
 def test_dataset_immutable():
     ds = parse_libsvm("+1 1:1\n")
     with pytest.raises(ValueError):

@@ -369,9 +369,13 @@ def sweep_objectives():
     onto the block path."""
     objectives = {name: LogisticObjective(wide_dataset(name)) for name in WIDE_SETS}
     for name in ("wide_sparse", "no_features_row", "explicit_zero"):
-        data = load_libsvm(FIXTURES / f"{name}.libsvm")
-        data.__dict__["runs_form"] = True  # overrides the cached decision
-        objectives[name] = LogisticObjective(data)
+        objective = LogisticObjective(load_libsvm(FIXTURES / f"{name}.libsvm"))
+        forced = [objective.data]
+        if objective.live_twin is not None:  # run sweeps on the twin's data
+            forced.append(objective.live_twin[0].data)
+        for data in forced:
+            data.__dict__["runs_form"] = True  # overrides the cached decision
+        objectives[name] = objective
     return objectives
 
 

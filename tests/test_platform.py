@@ -69,6 +69,34 @@ def test_add_at_sums_repeated_indices_in_index_order():
     assert got.tobytes() == in_order.tobytes(), _host()
 
 
+def test_bincount_sums_each_bin_in_entry_order():
+    # Dataset.tdot sums each column's entries with a weighted np.bincount; the
+    # live twin renames the columns, so every per-column sum must keep its
+    # bits, and its gradient scattered into zeros(d) must equal the full one
+    rng = np.random.default_rng(11)
+    d = 40
+    cols = 2 * rng.integers(0, d // 2, size=600)  # the odd columns are dead
+    vals = rng.standard_normal(600) * 10.0 ** rng.integers(-12, 13, size=600)
+    in_order, reversed_order = np.zeros(d), np.zeros(d)
+    for c, v in zip(cols.tolist(), vals.tolist()):
+        in_order[c] += v
+    for c, v in zip(cols.tolist()[::-1], vals.tolist()[::-1]):
+        reversed_order[c] += v
+    assert in_order.tobytes() != reversed_order.tobytes()  # the sums depend on the order
+    full = np.bincount(cols, weights=vals, minlength=d)
+    assert full.tobytes() == in_order.tobytes(), _host()
+    # any renaming of the bins, then the twin's: live columns in order
+    perm = rng.permutation(d)
+    renamed = np.bincount(perm[cols], weights=vals, minlength=d)
+    assert renamed[perm].tobytes() == full.tobytes(), _host()
+    mask = np.zeros(d, dtype=bool)
+    mask[cols] = True
+    compact = np.bincount((np.cumsum(mask) - 1)[cols], weights=vals, minlength=mask.sum())
+    scattered = np.zeros(d)
+    scattered[np.flatnonzero(mask)] = compact
+    assert scattered.tobytes() == full.tobytes(), _host()
+
+
 @np.errstate(invalid="ignore")  # numpy flags its comparisons on nan
 def test_array_exp_and_logaddexp_equal_their_scalar_forms():
     # the block sweep's coefficients come from numpy's array loops and the row

@@ -1,5 +1,6 @@
 """Generated wide sparse logistic data, on which conflict-free runs of rows
-form (`Dataset.runs_form`), so sweeps take the logistic block path."""
+form (`Dataset.runs_form`), so sweeps take the logistic block path, and a
+wide sparse multiclass set.  Each leaves most columns unstored (dead)."""
 
 import numpy as np
 
@@ -34,3 +35,13 @@ def wide_dataset(name: str, n: int = 300, d: int = 6000, seed: int = 0) -> Datas
     labels = np.where(rng.random(n) < 0.5, -1.0, 1.0)
     return Dataset(n=n, d=d, c=1, indptr=indptr, indices=np.concatenate(cols),
                    values=np.concatenate(vals), labels=labels)
+
+
+def wide_multiclass(n: int = 40, d: int = 300, c: int = 3, seed: int = 0) -> Dataset:
+    """Multiclass rows of 5 distinct columns with standard normal values;
+    about half the columns are stored by no row."""
+    rng = np.random.default_rng(seed)
+    cols = [np.sort(rng.choice(d, size=5, replace=False)) for _ in range(n)]
+    indptr = np.arange(0, 5 * n + 1, 5)
+    return Dataset(n=n, d=d, c=c, indptr=indptr, indices=np.concatenate(cols),
+                   values=rng.standard_normal(5 * n), labels=rng.integers(0, c, size=n))
