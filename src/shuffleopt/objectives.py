@@ -183,11 +183,7 @@ class LogisticObjective(Objective):
     def batch_mean_gradient(self, w, ids):
         """One gather of the batch's rows; their gradients are summed into
         zeros in batch order by one `np.add.at`, and only the touched columns
-        are divided, since every other entry is +0.0 and +0.0 / k is +0.0.
-        A one-row batch is `component_gradient`, the same sum without the
-        gather."""
-        if len(ids) == 1:
-            return self.component_gradient(w, int(ids[0]))
+        are divided, since every other entry is +0.0 and +0.0 / k is +0.0."""
         ids = np.asarray(ids)
         cols, vals, lengths = self.data.gather(ids)
         grads = self._row_grads(self.data.labels[ids], vals, w[cols], lengths)
