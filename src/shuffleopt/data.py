@@ -12,14 +12,16 @@ finite (inf, nan, or beyond the float range) is rejected with its line.
 Every number is checked as it is read, so the error names the first fault in
 file order.
 
-`Dataset` owns the row layout: it builds each entry's row id and each row's
-(columns, values) views once, and computes X @ w, X^T @ c and the squared row
-norms, so no other module reads the layout.  For the logistic block sweep it
-also gathers a batch of rows into flat (columns, values, lengths) arrays,
-takes each gathered row's dot product, splits an order into greedy runs of
-rows whose columns are pairwise disjoint, and decides from the rows alone
-whether such runs form on this data (`runs_form`).  The row lengths and that
-decision are built at first use, not when the data is parsed.
+`Dataset` owns the row layout: it builds each entry's row id once, serves
+each row's (columns, values) views, and computes X @ w, X^T @ c and the
+squared row norms, so no other module reads the layout.  For the logistic
+block sweep it also gathers a batch of rows into flat (columns, values,
+lengths) arrays, takes each gathered row's dot product, splits an order into
+greedy runs of rows whose columns are pairwise disjoint, and decides from the
+rows alone whether such runs form on this data (`runs_form`).  The row views,
+the row lengths and that decision are built at first use, not when the data
+is parsed: the block sweep and the batch gradient gather, and the trace uses
+the products, so on such data no view is ever built.
 
 A column that no row stores is dead: every product leaves it out, so every
 gradient is +0.0 there.  `Dataset` also owns the renumbering that drops the
@@ -80,10 +82,6 @@ class Dataset:
         self._check()
         for arr in (self.indptr, self.indices, self.values, self.labels, self._rows):
             arr.setflags(write=False)
-        # built once, so `row` does no numpy indexing
-        bounds = self.indptr.tolist()
-        self._row_views = [(self.indices[lo:hi], self.values[lo:hi])
-                           for lo, hi in zip(bounds, bounds[1:])]
 
     def _check(self):
         if self.n < 1:
@@ -112,6 +110,13 @@ class Dataset:
         else:
             if self.labels.min() < 0 or self.labels.max() >= self.c:
                 raise ValueError("class ids must lie in [0, c)")
+
+    @cached_property
+    def _row_views(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each row's (columns, values) views, built at the first `row` call,
+        so `row` does no numpy indexing."""
+        bounds = self.indptr.tolist()
+        return [(self.indices[lo:hi], self.values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Row i's column ids and values, as read-only views."""

@@ -22,12 +22,11 @@ between calls.
 
 `live_twin` is an objective over the live parameters alone, those whose
 gradient some row can make nonzero, with their indices into the parameter
-vector; None when every parameter is live (always for the quadratic).  The
-logistic twin runs over `Dataset.renumbered()`; the softmax twin drops the
-dead columns from each class block and keeps the offsets.  A twin's values,
-and its gradients on the parameters it keeps, equal the full objective's
-bitwise; every other gradient entry is +0.0.  It is built at first use and
-kept.
+vector; None when every parameter is live.  Only the logistic objective has
+one, which runs over `Dataset.renumbered()`; the softmax and quadratic
+objectives always run at full width.  A twin's values, and its gradients on
+the parameters it keeps, equal the full objective's bitwise; every other
+gradient entry is +0.0.  It is built at first use and kept.
 """
 
 from __future__ import annotations
@@ -271,15 +270,6 @@ class SoftmaxObjective(Objective):
     def smoothness_bound(self) -> float:
         return self._L
 
-    @cached_property
-    def live_twin(self):
-        live = self.data.live_columns
-        if live.size == self.d:
-            return None
-        blocks = [k * self.d + live for k in range(self.c)]
-        keep = np.concatenate([*blocks, self.c * self.d + np.arange(self.c)])
-        return SoftmaxObjective(self.data.renumbered()), keep
-
     def unpack(self, w):
         return w[: self.c * self.d].reshape(self.c, self.d), w[self.c * self.d:]
 
@@ -414,8 +404,10 @@ def solve_reference(objective: Objective, tol: float = 1e-10,
     """High-accuracy minimizer oracle: (x_star, f_star).
 
     Quadratics use their closed form.  Everything else runs the deterministic
-    accelerated full-gradient method with step 1/L until ||grad F|| <= tol.
-    Its momentum (k-1)/(k+2) restarts at k = 1 whenever a step climbs, i.e.
+    accelerated full-gradient method with step 1/L until ||grad F(y)|| <= tol
+    at its extrapolated point y, and returns y: one full gradient per
+    iteration both tests y and steps from it, and the first y is x0.  Its
+    momentum (k-1)/(k+2) restarts at k = 1 whenever a step climbs, i.e.
     grad F(y) . (x_new - x) > 0 (gradient-scheme adaptive restart, O'Donoghue
     and Candes); until the first restart k equals the iteration count t.
     An infimum of 0 that is not attained (separable logistic or softmax data)
@@ -426,19 +418,17 @@ def solve_reference(objective: Objective, tol: float = 1e-10,
         raise ValueError("tol must be positive")
     if isinstance(objective, QuadraticObjective):
         return objective.reference()
-    x = np.zeros(objective.dim) if x0 is None else np.array(x0, dtype=np.float64)
-    g_norm = float(np.linalg.norm(objective.full_gradient(x)))
-    if g_norm <= tol:
-        return x, objective.full_value(x)
-    alpha = 1.0 / objective.smoothness_bound()
-    y = x.copy()
-    t, k, check, f_last, x_last = 0, 0, 4096, math.inf, math.inf
+    # nothing updates x or y in place, so they may share one array
+    x = y = np.zeros(objective.dim) if x0 is None else np.array(x0, dtype=np.float64)
+    t, k, check, f_last, x_last, g_norm = 0, 0, 4096, math.inf, math.inf, math.inf
     for t in range(1, max_iter + 1):
         g = objective.full_gradient(y)
-        x_new = y - alpha * g
-        g_norm = float(np.linalg.norm(objective.full_gradient(x_new)))
+        g_norm = float(np.linalg.norm(g))
         if g_norm <= tol:
-            return x_new, objective.full_value(x_new)
+            return y, objective.full_value(y)
+        if t == 1:  # read once a step is due: a start that meets tol never needs L (it may be 0)
+            alpha = 1.0 / objective.smoothness_bound()
+        x_new = y - alpha * g
         step = x_new - x
         k = 1 if g @ step > 0 else k + 1
         y = x_new + ((k - 1) / (k + 2)) * step

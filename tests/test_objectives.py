@@ -362,12 +362,27 @@ def test_solve_reference_quadratic_closed_form():
     assert x_star.tolist() == [0.0] and f_star == 0.5
 
 
+def counted_gradients(obj):
+    """Records the point of every full gradient the objective takes."""
+    calls = []
+    gradient = obj.full_gradient
+    obj.full_gradient = lambda w: calls.append(w) or gradient(w)
+    return calls
+
+
 def test_solve_reference_fixpoint():
-    obj = LogisticObjective(binary_dataset(n=10, d=3, seed=11))
-    x_star, _ = solve_reference(obj, tol=1e-8)
-    again, value = solve_reference(obj, tol=1e-8, x0=x_star)
-    assert np.array_equal(again, x_star)
-    assert value == obj.full_value(x_star)
+    # the second set's rows are all empty: its gradient is 0 everywhere and its
+    # L = 0 raises, so a solve that reads L before its first test fails there
+    for dataset in (binary_dataset(n=10, d=3, seed=11),
+                    Dataset.from_dense(np.zeros((2, 1)), np.array([1.0, -1.0]))):
+        obj = LogisticObjective(dataset)
+        x_star, _ = solve_reference(obj, tol=1e-8)
+        calls = counted_gradients(obj)
+        again, value = solve_reference(obj, tol=1e-8, x0=x_star)
+        assert np.array_equal(again, x_star)
+        assert value == obj.full_value(x_star)
+        # the first iteration tests its start, y = x0, and steps no further
+        assert len(calls) == 1
 
 
 def test_solve_reference_separable_never_converges():
@@ -406,13 +421,12 @@ def test_solve_reference_blobs600_keeps_its_minimum(fixtures_dir):
 
 def test_solve_reference_gradient_budget(fixtures_dir):
     obj = LogisticObjective(load_libsvm(fixtures_dir / "blobs600.libsvm"))
-    calls = []
-    gradient = obj.full_gradient
-    obj.full_gradient = lambda w: calls.append(w) or gradient(w)
+    calls = counted_gradients(obj)
     solve_reference(obj)
-    # the gradient at x0, then two per iteration for 229 iterations; the solve
-    # without momentum restart took 1,487 iterations (2,975 gradients)
-    assert len(calls) == 459
+    # one per iteration for 229 iterations: the gradient at y both tests y and
+    # steps from it.  Testing at the stepped point as well took 459; the solve
+    # without momentum restart took 1,487 iterations
+    assert len(calls) == 229
 
 
 def test_solve_reference_overlapping_softmax():
