@@ -20,8 +20,8 @@ lengths) arrays, takes each gathered row's dot product, splits an order into
 greedy runs of rows whose columns are pairwise disjoint, and decides from the
 rows alone whether such runs form on this data (`runs_form`).  The row views,
 the row lengths and that decision are built at first use, not when the data
-is parsed: the block sweep and the batch gradient gather, and the trace uses
-the products, so on such data no view is ever built.
+is parsed: where runs form, the sweep and the batch gradient gather and the
+trace takes products, so no view is ever built.
 
 A column that no row stores is dead: every product leaves it out, so every
 gradient is +0.0 there.  `Dataset` also owns the renumbering that drops the

@@ -426,7 +426,7 @@ def solve_reference(objective: Objective, tol: float = 1e-10,
         g_norm = float(np.linalg.norm(g))
         if g_norm <= tol:
             return y, objective.full_value(y)
-        if t == 1:  # read once a step is due: a start that meets tol never needs L (it may be 0)
+        if t == 1:  # read at the first step: a start that meets tol never needs L, which may be 0
             alpha = 1.0 / objective.smoothness_bound()
         x_new = y - alpha * g
         step = x_new - x

@@ -152,8 +152,7 @@ def test_wide_runs_build_no_row_views(name):
     for method, batch in (("nasg", 1), ("adam", 16)):
         run(method, objective, "rr", ScheduleSpec("constant", 2, lr=0.5), seed=1,
             batch_size=batch, options=TraceOptions(record_accuracy=True))
-    twin_data = objective.live_twin[0].data
-    for data in (objective.data, twin_data):
+    for data in (objective.data, objective.live_twin[0].data):
         assert "_row_views" not in data.__dict__
         for i in (0, data.n - 1):
             cols, vals = data.row(i)

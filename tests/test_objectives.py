@@ -424,8 +424,7 @@ def test_solve_reference_gradient_budget(fixtures_dir):
     calls = counted_gradients(obj)
     solve_reference(obj)
     # one per iteration for 229 iterations: the gradient at y both tests y and
-    # steps from it.  Testing at the stepped point as well took 459; the solve
-    # without momentum restart took 1,487 iterations
+    # steps from it; the solve without momentum restart took 1,487 iterations
     assert len(calls) == 229
 
 
