@@ -8,7 +8,7 @@ from .diagnostics import (DispersionRecord, DriftCheck, RateFit, center_update_e
                           momentum_reconstruction_errors)
 from .harness import (ConfigError, ExperimentConfig, HarnessError, RunSummary,
                       build_objective, emit_plot_data, run_experiment)
-from .objectives import (LogisticObjective, Objective, QuadraticObjective,
+from .objectives import (OBJECTIVES, LogisticObjective, Objective, QuadraticObjective,
                          ReferenceSolveError, SoftmaxObjective, make_quadratic,
                          solve_reference, variance_at_point)
 from .optimizers import (OPTIMIZERS, DivergenceError, EpochTrace, RunResult,

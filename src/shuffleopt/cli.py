@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from .harness import ConfigError, ExperimentConfig, HarnessError, run_experiment
+from .objectives import OBJECTIVES
 from .optimizers import OPTIMIZERS
 from .schedules import ScheduleKind
 from .shuffling import SchemeKind
@@ -26,7 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one experiment and write its artifacts")
     p.add_argument("--config", type=Path, help="JSON experiment config")
     p.add_argument("--dataset", help="LIBSVM file path (switches dataset kind to libsvm)")
-    p.add_argument("--objective", choices=["logistic", "softmax"],
+    p.add_argument("--objective", choices=OBJECTIVES,
                    help="objective for a libsvm dataset")
     p.add_argument("--optimizer", choices=OPTIMIZERS)
     p.add_argument("--scheme", choices=[kind.value for kind in SchemeKind])

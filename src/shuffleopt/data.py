@@ -122,16 +122,21 @@ class Dataset:
         """Row i's column ids and values, as read-only views."""
         return self._row_views[i]
 
+    # np.bincount returns int64 when no entry is stored, even with weights, so
+    # the products are cast to float64 (no copy when they already are)
     def dot(self, w: np.ndarray) -> np.ndarray:
         """X @ w: each row's inner product with w."""
-        return np.bincount(self._rows, weights=self.values * w[self.indices], minlength=self.n)
+        return np.bincount(self._rows, weights=self.values * w[self.indices],
+                           minlength=self.n).astype(np.float64, copy=False)
 
     def tdot(self, coef: np.ndarray) -> np.ndarray:
         """X^T @ coef: the rows summed with weights coef."""
-        return np.bincount(self.indices, weights=self.values * coef[self._rows], minlength=self.d)
+        return np.bincount(self.indices, weights=self.values * coef[self._rows],
+                           minlength=self.d).astype(np.float64, copy=False)
 
     def row_sq_norms(self) -> np.ndarray:
-        return np.bincount(self._rows, weights=self.values ** 2, minlength=self.n)
+        return np.bincount(self._rows, weights=self.values ** 2,
+                           minlength=self.n).astype(np.float64, copy=False)
 
     @cached_property
     def _lengths(self) -> np.ndarray:

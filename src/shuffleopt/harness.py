@@ -11,9 +11,12 @@ Artifacts (fixed schemas, see README):
 * one ``summary.json`` per experiment.
 
 Every artifact is rendered in memory and written only after the summary is
-built, so an experiment that fails leaves no output directory.  Floats are
-written with shortest round-trip repr and files end with a single newline, so
-re-running the same config reproduces every artifact byte for byte.
+built, into a dot-named sibling of the output directory that is then renamed
+into place, so an experiment that fails leaves the output directory as it was.
+An existing output directory is replaced only when it holds nothing but
+``summary.json`` and ``runs/``.  Floats are written with shortest round-trip
+repr and files end with a single newline, so re-running the same config
+reproduces every artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -23,9 +26,12 @@ import io
 import json
 import math
 import numbers
+import os
+import shutil
 import sys
+import tempfile
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -33,8 +39,8 @@ import numpy as np
 
 from .data import load_libsvm
 from .diagnostics import convergence_bound, fit_rate
-from .objectives import (LogisticObjective, ReferenceSolveError, SoftmaxObjective,
-                         make_quadratic, solve_reference, variance_at_point)
+from .objectives import (OBJECTIVES, LogisticObjective, ReferenceSolveError, make_quadratic,
+                         solve_reference, variance_at_point)
 from .optimizers import OPTIMIZERS, DivergenceError, TraceOptions, run, start_point
 from .schedules import ScheduleKind, ScheduleSpec
 from .shuffling import SchemeKind
@@ -67,24 +73,12 @@ class _List:
     distinct: bool = False
 
 
-# every config key's rule, keyed like ExperimentConfig: a type (or a tuple of
-# types), a frozenset of accepted strings, a _List, or, for dataset and
-# schedule, the keys each kind takes beside "kind"
-_RULES = {
-    "dataset": {"quadratic": {"n": _REAL, "d": _REAL, "seed": _REAL, "spread": _REAL},
-                "libsvm": {"path": str, "objective": frozenset({"logistic", "softmax"}),
-                           "mode": str, "dim": (_INT, _NULL), "add_bias": bool, "scale": bool}},
-    "optimizer": frozenset(OPTIMIZERS), "scheme": frozenset(kind.value for kind in SchemeKind),
-    "schedule": {**{kind.value: {} for kind in ScheduleKind},
-                 "constant": {"lr": _REAL}, "thm2": {"theta": _REAL, "sigma_sq": _REAL}},
-    "epochs": _INT, "batch_size": _INT, "seeds": _List(_INT, null=False, distinct=True),
-    "grid": _List(_REAL, distinct=True), "label": (str, _NULL), "x0": _List(_REAL),
-    "record_accuracy": bool, "record_dispersion": bool,
-    "reference": frozenset({"auto", "closed-form", "solve", "none"}),
-    "bounds": _List(str, distinct=True), "rate_epochs": _List(_INT, distinct=True),
-    "sgdm_beta": _REAL, "adam_beta1": _REAL, "adam_beta2": _REAL, "adam_eps": _REAL,
-    "with_replacement": bool, "out": (str, _NULL),
-}
+# the keys each dataset and schedule kind takes beside "kind", and their rules
+_DATASET_KEYS = {"quadratic": {"n": _REAL, "d": _REAL, "seed": _REAL, "spread": _REAL},
+                 "libsvm": {"path": str, "objective": frozenset(OBJECTIVES), "mode": str,
+                            "dim": (_INT, _NULL), "add_bias": bool, "scale": bool}}
+_SCHEDULE_KEYS = {**{kind.value: {} for kind in ScheduleKind},
+                  "constant": {"lr": _REAL}, "thm2": {"theta": _REAL, "sigma_sq": _REAL}}
 
 
 def _check_keys(raw: dict, known, what: str):
@@ -94,7 +88,8 @@ def _check_keys(raw: dict, known, what: str):
 
 
 def _check(name: str, value, rule):
-    """The value, checked against its rule in _RULES; a list becomes a tuple."""
+    """The value, checked against its rule: a type (or a tuple of types), a frozenset
+    of accepted strings, a _List, or the keys each kind takes; a list becomes a tuple."""
     if isinstance(rule, frozenset):
         if not isinstance(value, str) or value not in rule:
             raise ConfigError(f"unknown {name} {value!r}")
@@ -127,31 +122,36 @@ def _check(name: str, value, rule):
 
 @dataclass
 class ExperimentConfig:
-    dataset: dict = field(default_factory=lambda: dict(_DEFAULT_DATASET))
-    optimizer: str = "nasg"
-    scheme: str = "rr"
-    schedule: dict = field(default_factory=lambda: {"kind": "thm1"})
-    epochs: int = 16
-    batch_size: int = 1
-    seeds: tuple = (1, 2, 3)
-    grid: tuple | None = None
-    label: str | None = None
-    x0: tuple | None = None
-    record_accuracy: bool = False
-    record_dispersion: bool = False
-    reference: str = "auto"          # auto | closed-form | solve | none
-    bounds: tuple = ()               # guarantee regimes to report at T
-    rate_epochs: tuple | None = None
-    sgdm_beta: float = 0.9
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    with_replacement: bool = False
-    out: str | None = None
+    dataset: dict = field(default_factory=lambda: dict(_DEFAULT_DATASET),
+                          metadata={"rule": _DATASET_KEYS})
+    optimizer: str = field(default="nasg", metadata={"rule": frozenset(OPTIMIZERS)})
+    scheme: str = field(default="rr",
+                        metadata={"rule": frozenset(kind.value for kind in SchemeKind)})
+    schedule: dict = field(default_factory=lambda: {"kind": "thm1"},
+                           metadata={"rule": _SCHEDULE_KEYS})
+    epochs: int = field(default=16, metadata={"rule": _INT})
+    batch_size: int = field(default=1, metadata={"rule": _INT})
+    seeds: tuple = field(default=(1, 2, 3),
+                         metadata={"rule": _List(_INT, null=False, distinct=True)})
+    grid: tuple | None = field(default=None, metadata={"rule": _List(_REAL, distinct=True)})
+    label: str | None = field(default=None, metadata={"rule": (str, _NULL)})
+    x0: tuple | None = field(default=None, metadata={"rule": _List(_REAL)})
+    record_accuracy: bool = field(default=False, metadata={"rule": bool})
+    record_dispersion: bool = field(default=False, metadata={"rule": bool})
+    reference: str = field(default="auto", metadata={
+        "rule": frozenset({"auto", "closed-form", "solve", "none"})})
+    bounds: tuple = field(default=(), metadata={"rule": _List(str, distinct=True)})
+    rate_epochs: tuple | None = field(default=None, metadata={"rule": _List(_INT, distinct=True)})
+    sgdm_beta: float = field(default=0.9, metadata={"rule": _REAL})
+    adam_beta1: float = field(default=0.9, metadata={"rule": _REAL})
+    adam_beta2: float = field(default=0.999, metadata={"rule": _REAL})
+    adam_eps: float = field(default=1e-8, metadata={"rule": _REAL})
+    with_replacement: bool = field(default=False, metadata={"rule": bool})
+    out: str | None = field(default=None, metadata={"rule": (str, _NULL)})
 
     def __post_init__(self):
-        for key, rule in _RULES.items():
-            setattr(self, key, _check(key, getattr(self, key), rule))
+        for f in fields(self):
+            setattr(self, f.name, _check(f.name, getattr(self, f.name), f.metadata["rule"]))
         # what the table cannot state: ranges, and rules that relate two values
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
@@ -184,7 +184,7 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("a config must be a JSON object")
-        _check_keys(raw, _RULES, "config keys")
+        _check_keys(raw, [f.name for f in fields(cls)], "config keys")
         implied = {"schedule": {"kind": "constant"}} if raw.get("grid") is not None else {}
         return cls(**{**implied, **raw})
 
@@ -249,8 +249,8 @@ def build_objective(config: ExperimentConfig) -> Build:
             # the loader's own signature states the defaults
             options = {key: ds[key] for key in ("mode", "dim", "add_bias", "scale") if key in ds}
             dataset = load_libsvm(ds["path"], **options)
-            objective = LogisticObjective(dataset) \
-                if ds.get("objective", "logistic") == "logistic" else SoftmaxObjective(dataset)
+            # a libsvm dataset without an objective is logistic
+            objective = OBJECTIVES.get(ds.get("objective"), LogisticObjective)(dataset)
         rates = config.grid if config.grid is not None else (config.schedule.get("lr"),)
         schedules = {(lr, T): _make_schedule(config, objective, lr, T) for lr in rates
                      for T in (config.epochs, *(config.rate_epochs or ()))}
@@ -352,6 +352,43 @@ def _write_text(path: Path, text: str):
         fh.write(text)
 
 
+def _check_out(out: Path):
+    """Reject an output path that the experiment could not replace whole: the
+    working directory or one that holds it, a path that is not a directory,
+    and a directory holding anything but an experiment's outputs."""
+    if Path.cwd().resolve().is_relative_to(out.resolve()):
+        raise ConfigError(f"output directory {str(out)!r} holds the working directory")
+    if out.exists() or out.is_symlink():
+        if not out.is_dir():
+            raise ConfigError(f"output path {str(out)!r} is not a directory")
+        foreign = sorted(set(os.listdir(out)) - {"summary.json", "runs"})
+        if foreign:
+            raise ConfigError(f"output directory {str(out)!r} holds more than summary.json "
+                              f"and runs/: {foreign}")
+
+
+def _write_tree(out: Path, artifacts: dict):
+    """Write the artifacts into a dot-named sibling of `out`, then rename the
+    new tree into place.  An existing `out` is first moved into the sibling,
+    which is deleted last, so `out` holds either its old output or the new."""
+    out.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    new, old = staging / "new", staging / "old"
+    try:
+        for path, text in artifacts.items():
+            _write_text(new / path, text)
+        if out.exists():
+            os.replace(out, old)
+        try:
+            os.replace(new, out)
+        except OSError:
+            if old.exists():
+                os.replace(old, out)
+            raise
+    finally:
+        shutil.rmtree(staging)
+
+
 def _mean_ci(series: list[list[float]]):
     """Mean and 95% band per epoch, in one pass.  Each column is divided by
     2**(e-1), where e is the frexp exponent of its largest magnitude, so its
@@ -379,8 +416,11 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
     training loss among entries where no seed diverged, ties toward the
     smaller rate.  A diverged primary seed marks the summary degraded instead
     of aborting; an exception before the summary leaves nothing written.
+    An output directory holding more than an experiment's outputs is
+    rejected before the build.
     """
     out = Path(out_dir if out_dir is not None else (config.out or "results"))
+    _check_out(out)
     build = build_objective(config)
     objective, epochs, seeds = build.objective, config.epochs, config.seeds
     f_star = reference_info = None
@@ -479,8 +519,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
                                                allow_nan=False) + "\n"
     except ValueError as err:  # a non-finite number left in the summary
         raise HarnessError(f"summary is not valid JSON: {err}") from err
-    for path, text in artifacts.items():
-        _write_text(out / path, text)
+    _write_tree(out, artifacts)
     return summary
 
 

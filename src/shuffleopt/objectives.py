@@ -324,6 +324,9 @@ class SoftmaxObjective(Objective):
         return float(np.mean(self._logits(w).argmax(axis=1) == self.data.labels))
 
 
+OBJECTIVES = {"logistic": LogisticObjective, "softmax": SoftmaxObjective}
+
+
 class QuadraticObjective(Objective):
     """Mean of half squared distances to fixed centers; the synthetic oracle.
 

@@ -1,0 +1,48 @@
+"""The host the bitwise gates run on, as one line.
+
+The golden digests and the CLI corpus hash bytes that pass through BLAS, so
+they hold the bits of the host they were recorded on, `RECORDED_HOST`.  When
+one fails it prints that line beside this host's (`hosts`): numpy's version,
+its BLAS build, the OpenBLAS kernel in use and OpenBLAS's thread count.
+OpenBLAS picks its kernels by CPU at run time (``OPENBLAS_CORETYPE`` forces
+one, ``OPENBLAS_NUM_THREADS`` sets the thread count).
+"""
+
+import ctypes
+from pathlib import Path
+
+import numpy as np
+
+RECORDED_HOST = ("numpy 2.4.6; BLAS scipy-openblas 0.3.31.188.0 (OpenBLAS 0.3.31.188.0  "
+                 "USE64BITINT DYNAMIC_ARCH NO_AFFINITY Haswell MAX_THREADS=64); kernel SkylakeX")
+
+
+def _openblas(name: str, restype):
+    """The value of a no-argument function of numpy's bundled OpenBLAS, or
+    "unknown" where that library or function is missing."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        function = getattr(ctypes.CDLL(str(path)), name, None)
+        if function is not None:
+            function.argtypes, function.restype = [], restype
+            return function()
+    return "unknown"
+
+
+def host() -> str:
+    """numpy's version, its BLAS build, and the OpenBLAS kernel and thread
+    count in use."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy before 1.26 only prints its configuration
+        blas = {}
+    core = _openblas("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    threads = _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    return (f"numpy {np.__version__}; BLAS {blas.get('name')} {blas.get('version')} "
+            f"({blas.get('openblas configuration', 'no configuration')}); "
+            f"kernel {core.decode() if isinstance(core, bytes) else core}; "
+            f"{threads} BLAS threads")
+
+
+def hosts() -> str:
+    """The recording host's line and this host's, for a failing digest."""
+    return f"recorded on: {RECORDED_HOST}\nthis host:   {host()}"

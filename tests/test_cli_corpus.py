@@ -27,6 +27,8 @@ from pathlib import Path
 
 import pytest
 
+from host import hosts
+
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = Path(__file__).resolve().parent / "cli_corpus"
 MANIFEST = CORPUS / "manifest.json"
@@ -55,7 +57,7 @@ def run_entry(name: str, out: Path) -> dict:
 def test_cli_output_matches_manifest(name, tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
     expected = json.loads(MANIFEST.read_text(encoding="utf-8"))[name]
-    assert run_entry(name, tmp_path / "out") == expected
+    assert run_entry(name, tmp_path / "out") == expected, hosts()
 
 
 def test_manifest_covers_the_corpus():

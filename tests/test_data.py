@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fixture_manifest import MALFORMED, WELL_FORMED
 from shuffleopt.data import Dataset, ParseError, load_libsvm, parse_libsvm, serialize_libsvm
+from shuffleopt.objectives import LogisticObjective
 
 
 def _check_expected(ds, expected):
@@ -237,3 +238,15 @@ def test_from_dense_round_trip():
     ds = Dataset.from_dense(X, labels)
     assert ds.c == 1
     assert np.array_equal(ds.to_dense(), X)
+
+
+@pytest.mark.parametrize("dim", [None, 3])
+def test_products_stay_float64_with_no_stored_entry(dim):
+    # np.bincount returns int64 on empty input, even when given weights
+    ds = parse_libsvm("+1\n-1\n+1\n", dim=dim)
+    assert ds.indices.size == 0
+    w, coef = np.ones(ds.d), np.ones(ds.n)
+    for got, size in ((ds.dot(w), ds.n), (ds.tdot(coef), ds.d), (ds.row_sq_norms(), ds.n)):
+        assert got.dtype == np.float64
+        assert got.tolist() == [0.0] * size
+    assert LogisticObjective(ds).full_gradient(w).dtype == np.float64

@@ -50,10 +50,6 @@ def test_config_validation():
         ExperimentConfig.from_dict([("optimizer", "nasg")])
 
 
-def test_config_rules_are_keyed_like_the_config():
-    assert list(harness._RULES) == list(ExperimentConfig.__dataclass_fields__)
-
-
 def test_config_accepts_integral_float_sizes():
     config = quad_config(dataset={"kind": "quadratic", "n": 20.0, "d": 4.0, "seed": 3.0})
     assert config.dataset["n"] == 20.0  # echoed as given
@@ -636,3 +632,65 @@ def test_non_finite_summary_is_a_runtime_failure(tmp_path, capsys, monkeypatch):
     assert main(["run", "--epochs", "2", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def _tree(path: Path) -> dict:
+    return {p.relative_to(path).as_posix(): p.read_bytes()
+            for p in sorted(path.rglob("*")) if p.is_file()}
+
+
+def test_rerun_with_fewer_seeds_leaves_no_stale_csv(tmp_path):
+    out = tmp_path / "out"
+    run_experiment(quad_config(seeds=[1, 2, 3]), out)
+    summary = run_experiment(quad_config(seeds=[1, 2]), out)
+    assert sorted(_tree(out)) == ["runs/seed1.csv", "runs/seed2.csv", "summary.json"]
+    assert [entry["csv"] for entry in summary.per_seed] == ["runs/seed1.csv", "runs/seed2.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+@pytest.mark.parametrize("failing_write", [1, 2, 3])
+def test_failed_write_keeps_the_old_output(tmp_path, monkeypatch, failing_write):
+    out = tmp_path / "out"
+    run_experiment(quad_config(seeds=[1, 2, 3]), out)
+    before = _tree(out)
+    writes, write_text = [], harness._write_text
+
+    def flaky(path, text):
+        writes.append(path)
+        if len(writes) == failing_write:
+            raise OSError("disk full")
+        write_text(path, text)
+
+    monkeypatch.setattr(harness, "_write_text", flaky)
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(quad_config(seeds=[4, 5], epochs=3), out)
+    assert _tree(out) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]  # no staging sibling left
+
+
+@pytest.mark.parametrize("case", ["file", "foreign-file", "working-directory",
+                                  "parent-of-working-directory"])
+def test_foreign_out_exits_2_before_the_build(tmp_path, monkeypatch, capsys, case):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    out = {"file": work / "out", "foreign-file": work / "out", "working-directory": Path("."),
+           "parent-of-working-directory": tmp_path}[case]
+    if case == "file":
+        out.write_text("not a directory\n")
+    elif case == "foreign-file":
+        (out / "runs").mkdir(parents=True)
+        (out / "notes.txt").write_text("kept\n")
+    before = _tree(tmp_path)
+    monkeypatch.setattr(harness, "build_objective", lambda config: pytest.fail("built"))
+    assert main(["run", "--epochs", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: output ")
+    assert _tree(tmp_path) == before
+    assert not list(tmp_path.rglob(".*"))  # no staging sibling
+
+
+def test_empty_out_directory_is_replaced(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    run_experiment(quad_config(), out)
+    assert sorted(_tree(out)) == ["runs/seed1.csv", "summary.json"]

@@ -12,6 +12,7 @@ from shuffleopt.optimizers import DivergenceError, TraceOptions, run
 from shuffleopt.diagnostics import (center_update_errors, convergence_bound,
                                     epoch_dispersion, momentum_reconstruction_errors)
 from shuffleopt.schedules import ScheduleKind, ScheduleSpec, epoch_step_size
+from host import hosts
 from wide_sets import WIDE_SETS, wide_dataset
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -474,6 +475,7 @@ def test_run_validation():
 # thm1}.  The digests were recorded with the per-method epoch functions that
 # preceded run's single sweep loop, so they pin the floating-point order of
 # every update rule.  Each entry is (digest, divergence epochs in case order).
+# They hold the BLAS bits of the host named in `host.RECORDED_HOST`.
 
 GOLDEN = {
     "quadratic/nasg": (
@@ -613,7 +615,7 @@ def golden_digests():
 
 
 def test_golden_trajectories_bitwise():
-    assert golden_digests() == GOLDEN
+    assert golden_digests() == GOLDEN, hosts()
     diverging = {key for key, (_, epochs) in GOLDEN.items() if epochs}
     assert {"quadratic/nasg", "quadratic/nasg-pi", "quadratic/sgdm",
             "quadratic/adam-lr1e307"} <= diverging

@@ -5,30 +5,18 @@ The fast paths keep those bytes only where numpy and the BLAS kernel behave
 as witnessed here, one small test per assumption, so that on a host where one
 fails the failure names the assumption and the host instead of a digest.
 OpenBLAS picks its kernels by CPU at run time (``OPENBLAS_CORETYPE`` forces
-one), so the kernel in use is part of what a failure prints.
+one), so the kernel in use is part of what a failure prints (``host.py``).
 """
 
-import ctypes
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
-
-def _host() -> str:
-    """numpy's version, its BLAS build and the OpenBLAS kernel in use."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except TypeError:  # numpy before 1.26 only prints its configuration
-        blas = {}
-    core = "unknown"
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
-        if corename is not None:
-            corename.argtypes, corename.restype = [], ctypes.c_char_p
-            core = corename().decode()
-    return (f"numpy {np.__version__}; BLAS {blas.get('name')} {blas.get('version')} "
-            f"({blas.get('openblas configuration', 'no configuration')}); kernel {core}")
+from host import host
 
 
 def logaddexp_cases():
@@ -49,7 +37,7 @@ def test_stacked_matmul_equals_row_dot():
         w = rng.standard_normal((64, width))
         stacked = np.matmul(vals.reshape(64, 1, width), w.reshape(64, width, 1)).reshape(64)
         rows = np.array([vals[k].dot(w[k]) for k in range(64)])
-        assert stacked.tobytes() == rows.tobytes(), f"row length {width}; {_host()}"
+        assert stacked.tobytes() == rows.tobytes(), f"row length {width}; {host()}"
 
 
 def test_add_at_sums_repeated_indices_in_index_order():
@@ -66,7 +54,7 @@ def test_add_at_sums_repeated_indices_in_index_order():
     for i, v in zip(ids.tolist()[::-1], vals.tolist()[::-1]):
         reversed_order[i] += v
     assert in_order.tobytes() != reversed_order.tobytes()  # the sums depend on the order
-    assert got.tobytes() == in_order.tobytes(), _host()
+    assert got.tobytes() == in_order.tobytes(), host()
 
 
 def test_bincount_sums_each_bin_in_entry_order():
@@ -84,11 +72,11 @@ def test_bincount_sums_each_bin_in_entry_order():
         reversed_order[c] += v
     assert in_order.tobytes() != reversed_order.tobytes()  # the sums depend on the order
     full = np.bincount(cols, weights=vals, minlength=d)
-    assert full.tobytes() == in_order.tobytes(), _host()
+    assert full.tobytes() == in_order.tobytes(), host()
     # any renaming of the bins, the twin's order-keeping one among them
     perm = rng.permutation(d)
     renamed = np.bincount(perm[cols], weights=vals, minlength=d)
-    assert renamed[perm].tobytes() == full.tobytes(), _host()
+    assert renamed[perm].tobytes() == full.tobytes(), host()
 
 
 @np.errstate(invalid="ignore")  # numpy flags its comparisons on nan
@@ -99,4 +87,20 @@ def test_array_exp_and_logaddexp_equal_their_scalar_forms():
     for y in (-1.0, 1.0):
         scalar = [-y * float(np.exp(-float(np.logaddexp(0.0, y * m)))) for m in margins.tolist()]
         assert (-y * np.exp(-np.logaddexp(0, y * margins))).tobytes() == \
-            np.array(scalar).tobytes(), _host()
+            np.array(scalar).tobytes(), host()
+
+
+def test_ddot_below_the_threading_threshold_ignores_the_thread_count():
+    # OpenBLAS splits a ddot over its threads only above 10,000 entries, and
+    # the split sum rounds differently; the widest BLAS dot that a recorded
+    # digest takes is the trace's g @ g over wide-sparse-nasg-pi's 5,001
+    # parameters.  Each thread count gets its own process.
+    script = ("import sys; import numpy as np; sys.path.insert(0, sys.argv[1]); "
+              "from host import host; rng = np.random.default_rng(5001); "
+              "g = rng.standard_normal(5001) * 10.0 ** rng.integers(-8, 9, size=5001); "
+              "print((g @ g).hex(), '|', host())")
+    runs = [subprocess.run([sys.executable, "-c", script, str(Path(__file__).parent)],
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads)},
+                           capture_output=True, text=True, check=True).stdout.strip()
+            for threads in (1, 2)]
+    assert len({run.split(" | ")[0] for run in runs}) == 1, "\n".join(runs)
