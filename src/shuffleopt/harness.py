@@ -358,7 +358,7 @@ def _check_out(out: Path):
     and a directory holding anything but an experiment's outputs."""
     if Path.cwd().resolve().is_relative_to(out.resolve()):
         raise ConfigError(f"output directory {str(out)!r} holds the working directory")
-    if out.exists() or out.is_symlink():
+    if out.exists():
         if not out.is_dir():
             raise ConfigError(f"output path {str(out)!r} is not a directory")
         foreign = sorted(set(os.listdir(out)) - {"summary.json", "runs"})

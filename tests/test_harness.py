@@ -687,10 +687,3 @@ def test_foreign_out_exits_2_before_the_build(tmp_path, monkeypatch, capsys, cas
     assert capsys.readouterr().err.startswith("error: output ")
     assert _tree(tmp_path) == before
     assert not list(tmp_path.rglob(".*"))  # no staging sibling
-
-
-def test_empty_out_directory_is_replaced(tmp_path):
-    out = tmp_path / "out"
-    out.mkdir()
-    run_experiment(quad_config(), out)
-    assert sorted(_tree(out)) == ["runs/seed1.csv", "summary.json"]
