@@ -28,9 +28,9 @@ Python int, to `objective.row_step` (the step contract in `objectives`), and
 nasg and sgd hand the whole order to `objective.sweep` once per epoch, which
 equals those row steps bitwise (they take the per-step loop only when inner
 iterates or the dispersion are recorded); larger batches apply
-z -= scale * g, with nasg's scale eta_t/n times the batch's length.  nasg-pi
-extrapolates into the buffer of the inner x it replaces and swaps the two
-names, so its extrapolation allocates nothing.
+z -= scale * g, with nasg's scale eta_t/n times the batch's length.  After
+each step nasg-pi's stepped z becomes its inner x, and z its extrapolation
+z + gamma * (z - x), a fresh array.
 Inner iterates are written into one (blocks + 1, dim) array per epoch.  The
 nasg family applies batches with per-component step eta_t/n, so batch size 1
 recovers the per-sample sweep exactly and batch size n recovers one
@@ -295,7 +295,7 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
                                               for start in range(0, n, batch_size)]
         scale = eta / n if per_component else eta
         z = y.copy()
-        x_step = x.copy() if pi else None  # nasg-pi's inner x; the sweep never writes x
+        x_step = x  # nasg-pi's inner x; no step writes it in place
         # let overflow produce inf/nan silently; the end-of-sweep check below
         # catches it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -309,12 +309,7 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
                 for block, ids in enumerate(batches, 1):
                     step(z, ids, scale)
                     if pi:
-                        # z + gamma * (z - x_step), into x_step's own buffer;
-                        # z becomes the new x_step
-                        np.subtract(z, x_step, out=x_step)
-                        x_step *= gamma
-                        x_step += z
-                        x_step, z = z, x_step
+                        x_step, z = z, z + gamma * (z - x_step)
                     if need_inner:
                         inner[block] = z
             if not np.isfinite(z).all():
