@@ -60,6 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import epoch_dispersion
+from .objectives import squared_norm
 from .schedules import ScheduleSpec, epoch_step_size
 from .shuffling import ShufflingScheme, generate_permutation, uniform_indices
 
@@ -193,35 +194,28 @@ def _moment_step(optimizer: str, objective, sgdm_beta: float, adam_beta1: float,
 
 
 def _space(objective, x: np.ndarray, options: TraceOptions):
-    """The objective and start point the epochs run on, the map from their
-    points back to full width, and the squared norm of a full gradient.
+    """The objective and start point the epochs run on, and the map from
+    their points back to full width.
 
     That is the objective's live twin when it has one, unless inner iterates
     or the dispersion are recorded (their sums would group differently over
     fewer entries) or x has a -0.0 on a dead parameter (the Nesterov
     extrapolation turns it into +0.0 at full width).  Every other dead entry
-    keeps x's bits through every method, and a full gradient is +0.0 there;
-    the norm is taken on the gradient scattered back to full width, since
-    ddot groups a shorter sum differently.
+    keeps x's bits through every method, and a full gradient is +0.0 there,
+    which `squared_norm` skips.
     """
     twin = None if options.record_inner or options.record_dispersion else objective.live_twin
     if twin is not None:
         compact, keep = twin
         negative_zero = np.signbit(x) & (x == 0.0)
         if np.count_nonzero(negative_zero) == np.count_nonzero(negative_zero[keep]):
-            wide = np.zeros(objective.dim)
-
             def expand(v):
                 out = x.copy()
                 out[keep] = v
                 return out
 
-            def sq_norm(g):
-                wide[keep] = g
-                return float(wide @ wide)
-
-            return compact, x[keep], expand, sq_norm
-    return objective, x, np.copy, lambda g: float(g @ g)
+            return compact, x[keep], expand
+    return objective, x, np.copy
 
 
 def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0,
@@ -243,7 +237,7 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
     x = start_point(optimizer, objective, batch_size=batch_size, x0=x0, options=options,
                     with_replacement=with_replacement, sgdm_beta=sgdm_beta,
                     adam_beta1=adam_beta1, adam_beta2=adam_beta2, adam_eps=adam_eps)
-    objective, x, expand, sq_norm = _space(objective, x, options)
+    objective, x, expand = _space(objective, x, options)
     scheme = ShufflingScheme(scheme, seed)
     n, dim, T = objective.n, objective.dim, schedule.T
     need_inner = options.record_inner or options.record_dispersion
@@ -325,7 +319,7 @@ def run(optimizer: str, objective, scheme, schedule: ScheduleSpec, seed: int = 0
 
             g = objective.full_gradient(x)
             row = EpochTrace(epoch=t, value=objective.full_value(x),
-                             grad_sq_norm=sq_norm(g), step_size=eta)
+                             grad_sq_norm=squared_norm(g), step_size=eta)
             if options.record_accuracy:
                 row.accuracy = objective.accuracy(x)
             if options.record_dispersion:

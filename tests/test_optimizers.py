@@ -479,67 +479,67 @@ def test_run_validation():
 
 GOLDEN = {
     "quadratic/nasg": (
-        "807fcc8ec4f4064c0a6508541f9524c81839b05afca3f911b2f2682741223e94",
+        "c9d240669c6c7a0945ac7c49de1804d154b14002890c7cc06d5e8008858ac334",
         (76, 76, 76)),
     "quadratic/nasg-pi": (
-        "4a4f61c6ccf5346e1560c2adabde26a68d8ae285db0326d9a0d1beb3106234c2",
+        "a4840deecce173e977dbe6393c9062b05a663566b6b3685df2f4a0b946926e18",
         (63, 63, 63)),
     "quadratic/nag": (
-        "e1020533e77d10ad70a2b5ab26a63fd0f9f6f6a15265185d2ea721dae4afe164",
+        "a2af54f3b5380dd55e5606f3d6df37391cbb478c165b3c1c7f85834239635185",
         ()),
     "quadratic/sgd": (
-        "ca3abbc641f880cf78a4d9f5bb90d2889e04cbfcc74e461dc0bdf94f92f9cef9",
+        "9ac07e50ecd051ff9e3fd65a6107ed08649190b4c2de906b784b5d343cb0c4ce",
         (49, 49, 49)),
     "quadratic/sgdm": (
-        "7abde6b23a801c0c0ddbd1198d3ae3c80f7cc839ed81295b7b47b0b681d1365d",
+        "d62cbf2a050ca4d2a910fb0ad2403df6d8a2e4cfe8265bfaccad609120184187",
         (49, 49, 49)),
     "quadratic/adam": (
-        "51e33c40f19e84a9ef8cbb1d9c6fabb22802788c36a37a793194fdc54a31fbff",
+        "3e5f410cb6fff5cc062a04f93409a90e6340cb20ae2c1f1400bac25fedc602f0",
         ()),
     "quadratic/sgd-with-replacement": (
-        "485c2437547291b8f9ad296fb564e8172831df08df61b243fc615a023487be6f",
+        "6498ff899bf0eaebf33938b0789ed9375394bd0f193f9591fc694d91f9564ab7",
         (49, 49, 49)),
     "blobs600/nasg": (
-        "de082ac869dc560f15db4857186092f8526d3e52a2b95dfa0afb33824a8cd07f",
+        "65b57ae6c40a6bfd4f1e8f654cd22aabe8e0bbd0274b58c2ea358e31b4f2e817",
         ()),
     "blobs600/nasg-pi": (
-        "c0f972a0ad741398f82d7b7c385d1d495f3192d40c630d64ac65bf927e022279",
+        "0eda144ae162da7b35d3fc1eb3c003278badada6d84ffcf92751cfa4d4f94ab8",
         ()),
     "blobs600/nag": (
-        "996b1b5583c8c7e3933d9882c06d93e6c9bac0c9c3ebf4297e4682e8b51e2349",
+        "544abd1295489dae777f3e960b552576d0796ff6ad09096b1f52ecd0790533f1",
         ()),
     "blobs600/sgd": (
-        "8bd292e0a89f6f0da9d797aeaadd57c208faa77cf307c468acbb9d217180f503",
+        "7dd5859c060979c84971b4fec7351f10a2ccc2c08ccd3a45a234ea1f58bbfbdc",
         ()),
     "blobs600/sgdm": (
-        "d421a59539fd94679401d61df9fa2071aa578255c673cb6f0b851842646f4cd6",
+        "447fa9bc6a511c5b5f701218d9441a78e13d139f968e6078db2d667fb534724a",
         ()),
     "blobs600/adam": (
-        "f8be4452de262671a1ae58fef647e9c1b735ad0a9d4e20f57b2bf1a3175cbbe5",
+        "855738c4a659d1921f32c6caac3c833deebb303303623a204a64c95b64cc712d",
         ()),
     "blobs600/sgd-with-replacement": (
-        "5eecfe7a1a2c4370cfb04ab8342afb6f1900a6c2cb1c8edd89fbbcd8240a727f",
+        "70cde0e461352d5f8d19fab98d007661dc4307822a54d44117a9641dbea4cd36",
         ()),
     "multiclass_3/nasg": (
-        "c7b039eee41f8f46c8d0fa4c4ca226f5d67c014b4f33e251140ad67b4e4ce6a1",
+        "277fcbc73eaff05bfd39a0083f836a1ff1d7d0cbc92bc6aae894f364f9e8f457",
         ()),
     "multiclass_3/nasg-pi": (
-        "e57e63b7037025a34a646e8b888b4f1d1090b96cde64ecb7de6b2e9fd4f6a91a",
+        "3066ea0cfcf1b22ac0d95d347515fc5d7dcfbbf92f39d6f3337457cc62002890",
         ()),
     "multiclass_3/nag": (
-        "fd1a3dd3d50ab3f27bd5f80218825862f232cf6f0228b351a8bf25fd89ba1ac5",
+        "e1e6cfbe192687556584af3851b9fc6ac361484b16655cea49d800e576b579be",
         ()),
     "multiclass_3/sgd": (
-        "d9b1ac5048ce456df2b01fd80f144f10b742b86c90320ef919bf4ba42aa3302b",
+        "71e57d77778b04c163f3b9a42445fadc4f8950aaea99c99827aea486e1bb1e78",
         ()),
     "multiclass_3/sgdm": (
-        "2600f30e471eb4718f1f4278f5039a3ec9dc24b9085aec7996245d25467d6e87",
+        "ad52bef33621e5c6c1d44d18563c2faf90d913879b7cbf0a37c83bbc9dfa4789",
         ()),
     "multiclass_3/adam": (
-        "9c421a2689e13ba8a8ec12490fb7745152846d641582fd5afd9e67b626e80738",
+        "be549bced1ea579e350926b6f23ce53438ca9caac61969ff6584f4ece572b646",
         ()),
     "multiclass_3/sgd-with-replacement": (
-        "27f25dd42dc20431b87843c0d2b10747dfa7f5ea34c6f3b06d084234af936f65",
+        "64a40b855d680c08cf1b2b4da48e8754a167bd387d0036be906a8a270af3c375",
         ()),
     "quadratic/adam-lr1e307": (
         "50e4342048dcdd42aa74ca59dbd36699be97e1e1fdf31d9d9da2dc7f7bd67201",
