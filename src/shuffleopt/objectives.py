@@ -56,13 +56,9 @@ class ReferenceSolveError(RuntimeError):
 
 
 def squared_norm(v: np.ndarray) -> float:
-    """||v||^2: numpy's pairwise sum of the squares of v's nonzero entries.
-
-    Zeros add nothing, so dropping them makes the sum independent of where
-    they sit: a live twin's gradient and the full-width one give the same
-    bits.  Unlike a BLAS dot, the sum does not depend on the BLAS kernel or
-    its thread count.
-    """
+    """||v||^2 as numpy's pairwise sum of the squares of v's nonzero entries,
+    for every recorded norm: outside BLAS, and blind to where the zeros sit
+    (a live twin's gradient gives the full-width one's bits)."""
     v = v[v != 0.0]
     return float(np.add.reduce(v * v))
 

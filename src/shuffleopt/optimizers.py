@@ -40,11 +40,11 @@ A parameter no row can move (a column no row stores) keeps its start value
 in every method, so where the objective has a live twin (`objectives`) `run`
 sweeps on the twin instead: it takes x0's live entries in, and hands every
 point it returns or records back at full width, each dead entry holding
-x0's bits.  Each trace row's squared gradient norm is taken on the twin's
-gradient scattered into a zeroed full-width buffer, one scatter per epoch,
-which equals the full-width gradient bitwise.  `run` stays at full width
-when inner iterates or the dispersion are recorded, and when x0 has a -0.0
-on a dead entry, which the Nesterov extrapolation turns into +0.0.
+x0's bits.  Each trace row's squared gradient norm is `squared_norm` of the
+gradient, which skips zeros, so the twin's gradient gives the full-width
+one's bits.  `run` stays at full width when inner iterates or the dispersion
+are recorded, and when x0 has a -0.0 on a dead entry, which the Nesterov
+extrapolation turns into +0.0.
 
 Divergence (a non-finite iterate) is a first-class outcome: `run`
 raises DivergenceError carrying the partial trace instead of crashing.  A

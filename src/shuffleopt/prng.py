@@ -3,8 +3,8 @@
 Everything random in this package (permutations, with-replacement draws,
 synthetic problem instances) is a pure function of an integer key, so runs
 replay bit-identically.  The integer stream itself is exactly portable across
-platforms; Gaussian draws additionally go through libm (log/cos/sin) and are
-reproducible per platform.
+platforms; Gaussian draws additionally go through numpy's SIMD log/cos/sin and
+are reproducible per platform and numpy SIMD level.
 """
 
 from __future__ import annotations

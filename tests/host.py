@@ -1,11 +1,13 @@
 """The host the bitwise gates run on, as one line.
 
-The golden digests and the CLI corpus hash bytes that pass through BLAS, so
-they hold the bits of the host they were recorded on, `RECORDED_HOST`.  When
-one fails it prints that line beside this host's (`hosts`): numpy's version,
+The golden digests and the CLI corpus hash bytes that pass through BLAS and
+through numpy's SIMD loops, so they hold the bits of the host they were
+recorded on, `RECORDED_HOST`.  When one fails it prints that line beside this
+host's (`hosts`): numpy's version and the SIMD targets its dispatch enables,
 its BLAS build, the OpenBLAS kernel in use and OpenBLAS's thread count.
-OpenBLAS picks its kernels by CPU at run time (``OPENBLAS_CORETYPE`` forces
-one, ``OPENBLAS_NUM_THREADS`` sets the thread count).
+numpy and OpenBLAS both pick their kernels by CPU at run time
+(``NPY_DISABLE_CPU_FEATURES`` turns numpy's targets off, ``OPENBLAS_CORETYPE``
+forces an OpenBLAS kernel, ``OPENBLAS_NUM_THREADS`` sets the thread count).
 """
 
 import ctypes
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-RECORDED_HOST = ("numpy 2.4.6; BLAS scipy-openblas 0.3.31.188.0 (OpenBLAS 0.3.31.188.0  "
+RECORDED_HOST = ("numpy 2.4.6; SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR; BLAS scipy-openblas 0.3.31.188.0 (OpenBLAS 0.3.31.188.0  "
                  "USE64BITINT DYNAMIC_ARCH NO_AFFINITY Haswell MAX_THREADS=64); kernel SkylakeX")
 
 
@@ -28,16 +30,25 @@ def _openblas(name: str, restype):
     return "unknown"
 
 
+def _simd() -> str:
+    """The SIMD targets numpy's dispatch enables on this CPU, or "unknown"."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy before 2.0
+        return "unknown"
+    return " ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f)) or "none"
+
+
 def host() -> str:
-    """numpy's version, its BLAS build, and the OpenBLAS kernel and thread
-    count in use."""
+    """numpy's version and enabled SIMD targets, its BLAS build, and the
+    OpenBLAS kernel and thread count in use."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except TypeError:  # numpy before 1.26 only prints its configuration
         blas = {}
     core = _openblas("scipy_openblas_get_corename64_", ctypes.c_char_p)
     threads = _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
-    return (f"numpy {np.__version__}; BLAS {blas.get('name')} {blas.get('version')} "
+    return (f"numpy {np.__version__}; SIMD {_simd()}; BLAS {blas.get('name')} {blas.get('version')} "
             f"({blas.get('openblas configuration', 'no configuration')}); "
             f"kernel {core.decode() if isinstance(core, bytes) else core}; "
             f"{threads} BLAS threads")

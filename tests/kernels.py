@@ -1,4 +1,5 @@
-"""Run the relational tests under each OpenBLAS kernel that can be forced.
+"""Run the relational tests and most of the CLI corpus under each OpenBLAS
+kernel that can be forced.
 
     python tests/kernels.py
 
@@ -6,6 +7,8 @@ The relational tests compare two paths under one kernel (a fast path against
 the path it replaces), so unlike the recorded digests they should pass under
 every kernel: ``test_platform.py``, ``test_literal_methods.py``,
 ``test_live_twin.py`` and ``test_block_sweep_equals_row_steps_bitwise``.
+The CLI corpus entries run too, since no recorded squared norm goes through
+BLAS, except the ones in `KERNEL_BOUND`, whose bytes still take BLAS sums.
 ``OPENBLAS_CORETYPE`` acts only on the process it is set for, so each kernel
 gets its own pytest process, one at a time.  A kernel whose instructions this
 CPU lacks dies of SIGILL and is reported as "cannot run here".  Prints one
@@ -21,8 +24,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 KERNELS = ("SkylakeX", "Haswell", "Sandybridge", "Prescott", "Nehalem")
+# corpus entries whose bytes change under some kernel, with the cause
+KERNEL_BOUND = {
+    "blobs600-solve-bounds": "the row steps' margins are BLAS dots",
+    "nasg-thm3-rate-sweep": "not traced; probably np.polyfit's least squares",
+    "wide-sparse-nasg-pi": "changes under Prescott only; not traced",
+}
+CORPUS = sorted(path.stem for path in (ROOT / "tests" / "cli_corpus").glob("*.json")
+                if path.stem != "manifest" and path.stem not in KERNEL_BOUND)
 TESTS = ("tests/test_platform.py", "tests/test_literal_methods.py", "tests/test_live_twin.py",
-         "tests/test_optimizers.py::test_block_sweep_equals_row_steps_bitwise")
+         "tests/test_optimizers.py::test_block_sweep_equals_row_steps_bitwise",
+         *(f"tests/test_cli_corpus.py::test_cli_output_matches_manifest[{name}]"
+           for name in CORPUS))
 # prints the kernel OpenBLAS runs, which may differ from the one forced
 PROBE = ("import sys; sys.path.insert(0, 'tests'); from host import host; "
          "print(host().split('; ')[-2])")

@@ -302,8 +302,11 @@ def test_a10_parser_corpus():
 
 
 def test_a11_tuned_comparison_report(tmp_path):
-    """Non-blocking: tuned nasg vs tuned shuffled sgd on the bundled 600-sample
-    classification set, 50 epochs, 10 seeds.  Records a report; never gates."""
+    """Tuned nasg vs tuned shuffled sgd on the bundled 600-sample
+    classification set, 50 epochs, 10 seeds.  The outcome must reproduce the
+    committed report, `reports/qualitative_comparison.json`: the selected
+    rates and the nasg <= sgd flag exactly, the mean final losses and
+    accuracies at 1e-9 relative, as perfbench's `blobs-tuned` checks them."""
     dataset_path = FIXTURES / "blobs600.libsvm"
     if not dataset_path.exists():
         pytest.skip("no local dataset file")
@@ -346,8 +349,16 @@ def test_a11_tuned_comparison_report(tmp_path):
     # the test writes its own next to its other artifacts
     report_path = tmp_path / "qualitative_comparison.json"
     report_path.write_text(json.dumps(outcome, indent=2, sort_keys=True) + "\n")
+    committed = json.loads((FIXTURES.parent / "reports" / "qualitative_comparison.json")
+                           .read_text(encoding="utf-8"))
+    for method in ("nasg", "sgd"):
+        got, expected = outcome.pop(method), committed.pop(method)
+        assert got["lr"] == expected["lr"], method
+        for key in ("mean_final_loss", "mean_final_accuracy"):
+            assert got[key] == pytest.approx(expected[key], rel=1e-9, abs=0.0), (method, key)
+    assert outcome == committed
     elapsed = time.perf_counter() - started
     verdict = "attained" if outcome["nasg_at_most_sgd"] else "did NOT attain"
-    report("a11 tuned comparison (non-blocking)",
+    report("a11 tuned comparison",
            f"nasg(lr={nasg_lr}) final {nasg_final:.6f} {verdict} <= "
            f"sgd(lr={sgd_lr}) final {sgd_final:.6f}; report at {report_path}; {elapsed:.1f}s")

@@ -331,7 +331,7 @@ def test_fallback_step_equals_dense_update_bitwise(obj):
 
 def test_quadratic_row_step_signed_zero():
     obj = QuadraticObjective(np.array([[-0.0, 1.0], [2.0, -0.0]]))
-    for _ in range(2):  # the second step reuses the preallocated difference
+    for _ in range(2):  # the step keeps nothing between calls
         z = np.array([-0.0, -0.0])
         obj.row_step(z, 0, 0.5)
         assert z.tobytes() == np.array([0.0, 0.5]).tobytes()

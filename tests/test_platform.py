@@ -90,16 +90,32 @@ def test_array_exp_and_logaddexp_equal_their_scalar_forms():
             np.array(scalar).tobytes(), host()
 
 
-def test_ddot_below_the_threading_threshold_ignores_the_thread_count():
-    # OpenBLAS splits a ddot over its threads only above 10,000 entries, and
-    # the split sum rounds differently; the widest BLAS dot that a recorded
-    # digest takes is the trace's g @ g over wide-sparse-nasg-pi's 5,001
-    # parameters.  Each thread count gets its own process.
-    script = ("import sys; import numpy as np; sys.path.insert(0, sys.argv[1]); "
-              "from host import host; rng = np.random.default_rng(5001); "
-              "g = rng.standard_normal(5001) * 10.0 ** rng.integers(-8, 9, size=5001); "
-              "print((g @ g).hex(), '|', host())")
-    runs = [subprocess.run([sys.executable, "-c", script, str(Path(__file__).parent)],
+# two epochs of batch-1 nasg on sparse-wide's shape (d = 50,000, 8 entries a
+# row), 13,612 of whose columns are live; prints each trace row's squared
+# gradient norm and value as hex, and the final iterate's digest
+WIDE_RUN = """
+import hashlib, sys
+sys.path[:0] = sys.argv[1:]
+from host import host
+from wide_sets import wide_dataset
+from shuffleopt.objectives import LogisticObjective
+from shuffleopt.optimizers import run
+from shuffleopt.schedules import ScheduleKind, ScheduleSpec
+obj = LogisticObjective(wide_dataset("wide-uniform", n=2000, d=50_000, seed=1))
+assert obj.live_twin[1].size > 10_000
+result = run("nasg", obj, "rr", ScheduleSpec(ScheduleKind.CONSTANT, T=2, lr=0.5), seed=1)
+print([row.grad_sq_norm.hex() for row in result.trace], [row.value.hex() for row in result.trace],
+      hashlib.sha256(result.final_x.tobytes()).hexdigest(), "|", host())
+"""
+
+
+def test_wide_run_ignores_the_blas_thread_count():
+    # OpenBLAS splits a ddot of more than 10,000 entries over its threads, and
+    # the split sum rounds differently, so no recorded number may take one:
+    # the trace's squared norms are numpy sums (objectives.squared_norm).
+    # Each thread count gets its own process.
+    tests = Path(__file__).resolve().parent
+    runs = [subprocess.run([sys.executable, "-c", WIDE_RUN, str(tests.parent / "src"), str(tests)],
                            env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads)},
                            capture_output=True, text=True, check=True).stdout.strip()
             for threads in (1, 2)]
