@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-RECORDED_HOST = ("numpy 2.4.6; SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR; BLAS scipy-openblas 0.3.31.188.0 (OpenBLAS 0.3.31.188.0  "
+RECORDED_HOST = ("numpy 2.4.6; SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR; "
+                 "BLAS scipy-openblas 0.3.31.188.0 (OpenBLAS 0.3.31.188.0  "
                  "USE64BITINT DYNAMIC_ARCH NO_AFFINITY Haswell MAX_THREADS=64); kernel SkylakeX")
 
 
@@ -48,7 +49,8 @@ def host() -> str:
         blas = {}
     core = _openblas("scipy_openblas_get_corename64_", ctypes.c_char_p)
     threads = _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
-    return (f"numpy {np.__version__}; SIMD {_simd()}; BLAS {blas.get('name')} {blas.get('version')} "
+    return (f"numpy {np.__version__}; SIMD {_simd()}; "
+            f"BLAS {blas.get('name')} {blas.get('version')} "
             f"({blas.get('openblas configuration', 'no configuration')}); "
             f"kernel {core.decode() if isinstance(core, bytes) else core}; "
             f"{threads} BLAS threads")

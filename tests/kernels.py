@@ -8,7 +8,7 @@ the path it replaces), so unlike the recorded digests they should pass under
 every kernel: ``test_platform.py``, ``test_literal_methods.py``,
 ``test_live_twin.py`` and ``test_block_sweep_equals_row_steps_bitwise``.
 The CLI corpus entries run too, since no recorded squared norm goes through
-BLAS, except the ones in `KERNEL_BOUND`, whose bytes still take BLAS sums.
+BLAS, except the ones in `KERNEL_BOUND`, which change under some kernel.
 ``OPENBLAS_CORETYPE`` acts only on the process it is set for, so each kernel
 gets its own pytest process, one at a time.  A kernel whose instructions this
 CPU lacks dies of SIGILL and is reported as "cannot run here".  Prints one
@@ -27,8 +27,8 @@ KERNELS = ("SkylakeX", "Haswell", "Sandybridge", "Prescott", "Nehalem")
 # corpus entries whose bytes change under some kernel, with the cause
 KERNEL_BOUND = {
     "blobs600-solve-bounds": "the row steps' margins are BLAS dots",
-    "nasg-thm3-rate-sweep": "not traced; probably np.polyfit's least squares",
-    "wide-sparse-nasg-pi": "changes under Prescott only; not traced",
+    "nasg-thm3-rate-sweep": "the rate fit's slope and intercept: np.polyfit's least squares",
+    "wide-sparse-nasg-pi": "the row steps' margins, under Prescott only",
 }
 CORPUS = sorted(path.stem for path in (ROOT / "tests" / "cli_corpus").glob("*.json")
                 if path.stem != "manifest" and path.stem not in KERNEL_BOUND)
