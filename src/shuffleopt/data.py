@@ -16,12 +16,13 @@ file order.
 each row's (columns, values) views, and computes X @ w, X^T @ c and the
 squared row norms, so no other module reads the layout.  For the logistic
 block sweep it also gathers a batch of rows into flat (columns, values,
-lengths) arrays, takes each gathered row's dot product, splits an order into
-greedy runs of rows whose columns are pairwise disjoint, and decides from the
-rows alone whether such runs form on this data (`runs_form`).  The row views,
-the row lengths and that decision are built at first use, not when the data
-is parsed: where runs form, the sweep and the batch gradient gather and the
-trace takes products, so no view is ever built.
+lengths) arrays, splits an order into greedy runs of rows whose columns are
+pairwise disjoint, and decides from the rows alone whether such runs form on
+this data (`runs_form`); for the logistic sweep where they do not, it serves
+each row's (column, value) pairs as Python numbers (`row_entries`).  The row
+views, the row entries, the row lengths and that decision are built at first
+use, not when the data is parsed: where runs form, the sweep and the batch
+gradient gather and the trace takes products, so no view is ever built.
 
 A column that no row stores is dead: every product leaves it out, so every
 gradient is +0.0 there.  `Dataset` also owns the renumbering that drops the
@@ -122,6 +123,14 @@ class Dataset:
         """Row i's column ids and values, as read-only views."""
         return self._row_views[i]
 
+    @cached_property
+    def row_entries(self) -> list[list[tuple[int, float]]]:
+        """Each row's (column id, value) pairs in stored order, as Python
+        numbers; built at first use."""
+        bounds = self.indptr.tolist()
+        entries = list(zip(self.indices.tolist(), self.values.tolist()))
+        return [entries[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
     # np.bincount returns int64 when no entry is stored, even with weights, so
     # the products are cast to float64 (no copy when they already are)
     def dot(self, w: np.ndarray) -> np.ndarray:
@@ -143,12 +152,6 @@ class Dataset:
         """Each row's stored entry count, built at the first gather."""
         return np.diff(self.indptr)
 
-    @cached_property
-    def _width(self) -> int | None:
-        """The one row length every row has, or None."""
-        lengths = self._lengths
-        return int(lengths[0]) if (lengths == lengths[0]).all() else None
-
     def gather(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rows `ids` (a 1-D int array) in turn, flattened: their columns,
         their values and each row's length."""
@@ -158,17 +161,6 @@ class Dataset:
         pos = np.repeat(self.indptr[ids] - (ends - lengths), lengths)
         pos += np.arange(pos.size)
         return self.indices[pos], self.values[pos], lengths
-
-    def row_dots(self, vals: np.ndarray, w_cols: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Each gathered row's inner product vals . w_cols, one BLAS ddot per
-        row as `ndarray.dot` takes it: one stacked matmul when every row of
-        the data has the same length, else one `ndarray.dot` per row."""
-        m = lengths.size
-        width = self._width
-        if width is not None:
-            return np.matmul(vals.reshape(m, 1, width), w_cols.reshape(m, width, 1)).reshape(m)
-        bounds = [0, *np.cumsum(lengths).tolist()]
-        return np.array([vals[lo:hi].dot(w_cols[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
 
     @staticmethod
     def disjoint_runs(cols: np.ndarray, lengths: np.ndarray) -> list[int]:

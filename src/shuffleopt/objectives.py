@@ -10,15 +10,24 @@ gradient of a batch (a list of ints or a 1-D int array) at one point,
 `row_step(z, i, scale)`, the in-place update z -= scale * g of one row, bitwise
 equal to z -= scale * batch_mean_gradient(z, [i]), and `sweep(z, order,
 scale)`, bitwise equal to `row_step` for each index of `order` in turn.  The
-base class computes exactly those; the logistic row step costs O(nnz) of the
-row and the quadratic one skips the batch gather and mean.  On data where
-runs form (`Dataset.runs_form`), the logistic sweep applies each greedy run of
+base class computes exactly those, and its per-row loop is the quadratic and
+softmax sweep; the logistic row step costs O(nnz) of the row and the
+quadratic one skips the batch gather and mean.  nag's step, z -= scale *
+full_gradient(z), and nasg-pi's in-place extrapolation need nothing more.
+Objectives keep no scratch arrays between calls.
+
+A logistic row's margin <x_i, w> has one definition: the products vals *
+w[cols] summed one by one from +0.0 in stored order, no BLAS dot.  The row
+step and the component value and gradient take it as a Python loop
+(`_margin`); the full objective (`Dataset.dot`), the block sweep and the
+batch gradient take it as one weighted `np.bincount` over the rows' entries,
+which sums each row in the same order.  The logistic sweep has two paths.
+On data where runs form (`Dataset.runs_form`) it applies each greedy run of
 rows with pairwise disjoint columns as one block: a row step reads and writes
-only its own columns, so the rows of such a run commute exactly.  The logistic
-batch gradient gathers its rows once and scatters them with one ordered
-`np.add.at`.  nag's step, z -= scale * full_gradient(z), and nasg-pi's
-in-place extrapolation need nothing more.  Objectives keep no scratch arrays
-between calls.
+only its own columns, so the rows of such a run commute exactly.  Elsewhere
+it takes each row step in Python floats over z as a list, operation for
+operation as the row step takes it in numpy.  The logistic batch gradient
+gathers its rows once and scatters them with one ordered `np.add.at`.
 
 `live_twin` is an objective over the live parameters alone, those whose
 gradient some row can make nonzero, with their indices into the parameter
@@ -61,6 +70,16 @@ def squared_norm(v: np.ndarray) -> float:
     (a live twin's gradient gives the full-width one's bits)."""
     v = v[v != 0.0]
     return float(np.add.reduce(v * v))
+
+
+def _margin(vals: np.ndarray, w_cols: np.ndarray) -> float:
+    """A row's margin <x_i, w>, where w_cols holds w at the row's columns:
+    the products vals * w_cols summed one by one from +0.0 in stored order,
+    as `Dataset.dot`'s `np.bincount` sums them."""
+    m = 0.0
+    for p in (vals * w_cols).tolist():
+        m += p
+    return m
 
 
 def _logaddexp0(z: float) -> float:
@@ -155,13 +174,13 @@ class LogisticObjective(Objective):
 
     def component_value(self, w, i):
         cols, vals = self.data.row(i)
-        return _logaddexp0(-(self._labels[i] * float(vals.dot(w[cols]))))
+        return _logaddexp0(-(self._labels[i] * _margin(vals, w[cols])))
 
     def component_gradient(self, w, i):
         cols, vals = self.data.row(i)
         g = np.zeros(self.dim)
         # the one-row batch: +0.0 plus the row's gradient, divided by 1
-        g[cols] += self._row_coef(i, vals.dot(w[cols])) * vals
+        g[cols] += self._row_coef(i, _margin(vals, w[cols])) * vals
         return g
 
     def _row_coef(self, i, margin):
@@ -169,7 +188,7 @@ class LogisticObjective(Objective):
         <x_i, w>: -y_i * sigmoid(-y_i * margin), overflow-safe."""
         y = self._labels[i]
         # numpy's exp, not math.exp: numpy's SIMD exp can differ in the last bit
-        return -y * float(np.exp(-_logaddexp0(y * float(margin))))
+        return -y * float(np.exp(-_logaddexp0(y * margin)))
 
     @staticmethod
     def _coefs(y, margins):
@@ -182,8 +201,12 @@ class LogisticObjective(Objective):
 
     def _row_grads(self, labels, vals, w_cols, lengths):
         """The gathered rows' gradients, flat: each row's coefficient times
-        its values, where w_cols holds w at the rows' columns."""
-        grads = np.repeat(self._coefs(labels, self.data.row_dots(vals, w_cols, lengths)), lengths)
+        its values, where w_cols holds w at the rows' columns.  The margins
+        are one weighted `np.bincount` over the entries' row positions, which
+        sums each row from +0.0 in entry order, as `_margin` does."""
+        m = lengths.size
+        margins = np.bincount(np.repeat(np.arange(m), lengths), weights=vals * w_cols, minlength=m)
+        grads = np.repeat(self._coefs(labels, margins), lengths)
         grads *= vals
         return grads
 
@@ -209,7 +232,7 @@ class LogisticObjective(Objective):
         """
         cols, vals = self.data.row(i)
         zc = z[cols]
-        grad = self._row_coef(i, vals.dot(zc)) * vals
+        grad = self._row_coef(i, _margin(vals, zc)) * vals
         # 0.0 + (-0.0) is +0.0, as in the zeroed dense buffer; the dense
         # division by 1 is exact
         grad += 0.0
@@ -218,17 +241,37 @@ class LogisticObjective(Objective):
         z[cols] = zc
 
     def sweep(self, z, order, scale):
-        """Where runs form, each greedy run of rows with pairwise disjoint
-        columns is one block: one gather of z at the run's columns, each row's
-        margin from it, the coefficients as arrays, the row step's `+= 0.0`,
-        `*= scale` and subtraction in the same order, one scatter.
+        """Where runs form, `_block_sweep`.  Elsewhere each row step in Python
+        floats, over the row's entries and z as a list: the margin is
+        m += v * w[c] from m = 0.0, then w[c] -= (coef * v + 0.0) * scale,
+        the row step's IEEE operations in its order, so the two equal
+        bitwise.  A non-finite entry never turns finite again, so writing z
+        back once, at the end, leaves `run`'s divergence check as it was."""
+        data = self.data
+        if data.runs_form:
+            self._block_sweep(z, order, scale)
+            return
+        rows, row_coef, scale = data.row_entries, self._row_coef, float(scale)
+        w = z.tolist()
+        for i in order.tolist():
+            row = rows[i]
+            m = 0.0
+            for c, v in row:
+                m += v * w[c]
+            coef = row_coef(i, m)
+            for c, v in row:
+                w[c] -= (coef * v + 0.0) * scale
+        z[:] = w
+
+    def _block_sweep(self, z, order, scale):
+        """Each greedy run of rows with pairwise disjoint columns is one
+        block: one gather of z at the run's columns, the rows' margins from
+        one `np.bincount`, the coefficients as arrays, the row step's
+        `+= 0.0`, `*= scale` and subtraction in the same order, one scatter.
         No row of a run reads a column another row of the run writes, so the
         block equals the row steps bitwise.
         """
         data = self.data
-        if not data.runs_form:
-            super().sweep(z, order, scale)
-            return
         cols, vals, lengths = data.gather(order)
         starts = data.disjoint_runs(cols, lengths)
         bounds = np.concatenate(([0], np.cumsum(lengths)))[starts].tolist()

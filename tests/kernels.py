@@ -1,14 +1,16 @@
-"""Run the relational tests and most of the CLI corpus under each OpenBLAS
-kernel that can be forced.
+"""Run the relational tests, the golden digests and most of the CLI corpus
+under each OpenBLAS kernel that can be forced.
 
     python tests/kernels.py
 
 The relational tests compare two paths under one kernel (a fast path against
-the path it replaces), so unlike the recorded digests they should pass under
-every kernel: ``test_platform.py``, ``test_literal_methods.py``,
-``test_live_twin.py`` and ``test_block_sweep_equals_row_steps_bitwise``.
-The CLI corpus entries run too, since no recorded squared norm goes through
-BLAS, except the ones in `KERNEL_BOUND`, which change under some kernel.
+the path it replaces), so they should pass under every kernel:
+``test_platform.py``, ``test_literal_methods.py``, ``test_live_twin.py``,
+``test_block_sweep_equals_row_steps_bitwise`` and
+``test_float_sweep_equals_row_steps_bitwise``.  The recorded digests run too,
+since neither a recorded squared norm nor a logistic margin goes through BLAS:
+``test_golden_trajectories_bitwise`` and the CLI corpus entries, except the
+ones in `KERNEL_BOUND`, which change under some kernel.
 ``OPENBLAS_CORETYPE`` acts only on the process it is set for, so each kernel
 gets its own pytest process, one at a time.  A kernel whose instructions this
 CPU lacks dies of SIGILL and is reported as "cannot run here".  Prints one
@@ -26,14 +28,14 @@ ROOT = Path(__file__).resolve().parent.parent
 KERNELS = ("SkylakeX", "Haswell", "Sandybridge", "Prescott", "Nehalem")
 # corpus entries whose bytes change under some kernel, with the cause
 KERNEL_BOUND = {
-    "blobs600-solve-bounds": "the row steps' margins are BLAS dots",
     "nasg-thm3-rate-sweep": "the rate fit's slope and intercept: np.polyfit's least squares",
-    "wide-sparse-nasg-pi": "the row steps' margins, under Prescott only",
 }
 CORPUS = sorted(path.stem for path in (ROOT / "tests" / "cli_corpus").glob("*.json")
                 if path.stem != "manifest" and path.stem not in KERNEL_BOUND)
 TESTS = ("tests/test_platform.py", "tests/test_literal_methods.py", "tests/test_live_twin.py",
          "tests/test_optimizers.py::test_block_sweep_equals_row_steps_bitwise",
+         "tests/test_optimizers.py::test_float_sweep_equals_row_steps_bitwise",
+         "tests/test_optimizers.py::test_golden_trajectories_bitwise",
          *(f"tests/test_cli_corpus.py::test_cli_output_matches_manifest[{name}]"
            for name in CORPUS))
 # prints the kernel OpenBLAS runs, which may differ from the one forced

@@ -287,11 +287,19 @@ def assert_step_is_dense_update(obj):
 
 def reference_batch_mean_gradient(obj, w, ids):
     """The per-row loop that `LogisticObjective.batch_mean_gradient` ran
-    before its block gather, kept literally."""
-    g = np.zeros(obj.dim)
+    before its block gather, in Python floats: each row's margin is the sum
+    of its products from +0.0 in stored order, and its gradient entries are
+    added into zeros one by one, in batch order."""
+    g = [0.0] * obj.dim
     for i in ids:
         cols, vals = obj.data.row(i)
-        g[cols] += obj._row_coef(i, vals.dot(w[cols])) * vals
+        margin = 0.0
+        for v, wc in zip(vals.tolist(), w[cols].tolist()):
+            margin += v * wc
+        coef = obj._row_coef(i, margin)
+        for c, v in zip(cols.tolist(), vals.tolist()):
+            g[c] += coef * v
+    g = np.array(g)
     g /= len(ids)
     return g
 

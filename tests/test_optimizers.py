@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import warnings
 from pathlib import Path
 
@@ -364,27 +365,38 @@ def test_batch_rule_is_dense_update_bitwise(optimizer):
         assert res.final_x.tobytes() == z.tobytes(), type(obj).__name__
 
 
-def sweep_objectives():
-    """Logistic objectives for the block sweep: the generated wide sets, on
-    which runs form, and three fixtures too small for runs to form, forced
-    onto the block path."""
+def sweep_objectives(forced):
+    """Logistic objectives for the sweeps.  Forced: the generated wide sets,
+    on which runs form, and three fixtures too small for runs to form, forced
+    onto the block path.  Unforced: `blobs600`, the same three fixtures and
+    a ragged generated set, none of which forms runs, so their sweeps take
+    the Python-float path."""
+    names = ("wide_sparse", "no_features_row", "explicit_zero")
+    if not forced:
+        objectives = {name: LogisticObjective(load_libsvm(FIXTURES / f"{name}.libsvm"))
+                      for name in ("blobs600", *names)}
+        objectives["ragged"] = LogisticObjective(wide_dataset("wide-mixed", d=300))
+        return objectives
     objectives = {name: LogisticObjective(wide_dataset(name)) for name in WIDE_SETS}
-    for name in ("wide_sparse", "no_features_row", "explicit_zero"):
+    for name in names:
         objective = LogisticObjective(load_libsvm(FIXTURES / f"{name}.libsvm"))
-        forced = [objective.data]
-        if objective.live_twin is not None:  # run sweeps on the twin's data
-            forced.append(objective.live_twin[0].data)
-        for data in forced:
+        for data in swept_data(objective):
             data.__dict__["runs_form"] = True  # overrides the cached decision
         objectives[name] = objective
     return objectives
 
 
-def sweep_outcome(obj, method, scheme, schedule, with_replacement, record_inner):
+def swept_data(objective):
+    """The data of the objective and of its live twin, on which run sweeps."""
+    twin = objective.live_twin
+    return [objective.data] if twin is None else [objective.data, twin[0].data]
+
+
+def sweep_outcome(obj, method, scheme, schedule, with_replacement, x0, record_inner):
     """The trace rows, final point and divergence epoch, as bytes."""
     try:
         result = run(method, obj, scheme, schedule, seed=3, with_replacement=with_replacement,
-                     options=TraceOptions(record_inner=record_inner))
+                     x0=x0, options=TraceOptions(record_inner=record_inner))
         epoch = None
     except DivergenceError as err:
         result, epoch = err.partial, err.epoch
@@ -393,26 +405,43 @@ def sweep_outcome(obj, method, scheme, schedule, with_replacement, record_inner)
     return rows, result.final_x.tobytes(), epoch
 
 
-@pytest.mark.parametrize("name", [*WIDE_SETS, "wide_sparse", "no_features_row",
-                                  "explicit_zero"])
-def test_block_sweep_equals_row_steps_bitwise(name):
-    # recording inner iterates keeps the per-row loop; without it, nasg and
-    # sgd at batch size 1 take one objective.sweep per epoch
-    obj = sweep_objectives()[name]
+def compare_sweeps_to_row_steps(obj):
+    """Recording inner iterates keeps the per-row loop; without it, nasg and
+    sgd at batch size 1 take one objective.sweep per epoch.  Each case runs
+    from +0.0 and from -0.0, where a row step's `+ 0.0` shows.  Returns
+    whether any case diverged."""
     T = 2
     schedules = {"lr0.5": constant(0.5, T), "lr1e308": constant(1e308, T),
                  "thm1": ScheduleSpec(ScheduleKind.UNIFIED, T=T, L=1.0)}
     diverged = []
     for method, with_replacement in (("nasg", False), ("sgd", False), ("sgd", True)):
         for schedule in schedules.values():
-            for scheme in ("rr", "ss", "ig"):
-                args = (obj, method, scheme, schedule, with_replacement)
+            for scheme, x0 in itertools.product(("rr", "ss", "ig"), (0.0, -0.0)):
+                args = (obj, method, scheme, schedule, with_replacement, np.full(obj.dim, x0))
                 swept = sweep_outcome(*args, record_inner=False)
                 assert swept == sweep_outcome(*args, record_inner=True), \
-                    (method, with_replacement, schedule, scheme)
+                    (method, with_replacement, schedule, scheme, x0)
                 diverged.append(swept[2])
+    return any(diverged)
+
+
+@pytest.mark.parametrize("name", [*WIDE_SETS, "wide_sparse", "no_features_row",
+                                  "explicit_zero"])
+def test_block_sweep_equals_row_steps_bitwise(name):
     # the fixtures' values are too small to overflow at lr 1e308
-    assert any(diverged) == name.startswith("wide-")
+    assert compare_sweeps_to_row_steps(sweep_objectives(forced=True)[name]) == \
+        name.startswith("wide-")
+
+
+@pytest.mark.parametrize("name", ["blobs600", "wide_sparse", "no_features_row",
+                                  "explicit_zero", "ragged"])
+def test_float_sweep_equals_row_steps_bitwise(name):
+    obj = sweep_objectives(forced=False)[name]
+    assert compare_sweeps_to_row_steps(obj) == (name in ("blobs600", "ragged"))
+    # every sweep took the Python-float path, which alone builds the row entries
+    for data in swept_data(obj):
+        assert not data.runs_form
+    assert "row_entries" in swept_data(obj)[-1].__dict__
 
 
 def test_runs_form_on_wide_rows_only():
@@ -500,25 +529,25 @@ GOLDEN = {
         "6498ff899bf0eaebf33938b0789ed9375394bd0f193f9591fc694d91f9564ab7",
         (49, 49, 49)),
     "blobs600/nasg": (
-        "65b57ae6c40a6bfd4f1e8f654cd22aabe8e0bbd0274b58c2ea358e31b4f2e817",
+        "643a3ef7fed97c2a4ad849cc800d50e64c0d79e44acfef0d603f6d3672fa1af9",
         ()),
     "blobs600/nasg-pi": (
-        "0eda144ae162da7b35d3fc1eb3c003278badada6d84ffcf92751cfa4d4f94ab8",
+        "f9d7fc72f16bb884a4953efae4b9e097cbc210085d4397ca5f949133ae709e63",
         ()),
     "blobs600/nag": (
         "544abd1295489dae777f3e960b552576d0796ff6ad09096b1f52ecd0790533f1",
         ()),
     "blobs600/sgd": (
-        "7dd5859c060979c84971b4fec7351f10a2ccc2c08ccd3a45a234ea1f58bbfbdc",
+        "ea475019ffe2b9f694d130ccc1fbbe9027ddf1312ac15dd9870f14190117aa1d",
         ()),
     "blobs600/sgdm": (
-        "447fa9bc6a511c5b5f701218d9441a78e13d139f968e6078db2d667fb534724a",
+        "92626e6607160a41d75c50027b718f611f26f52df0c938b87320e477e211824a",
         ()),
     "blobs600/adam": (
-        "855738c4a659d1921f32c6caac3c833deebb303303623a204a64c95b64cc712d",
+        "cdad578686ad6e3f77f0723aac8e03c573b3658f01299fff46b797bbc0d27440",
         ()),
     "blobs600/sgd-with-replacement": (
-        "70cde0e461352d5f8d19fab98d007661dc4307822a54d44117a9641dbea4cd36",
+        "af2b2d468f9c3a41d2914e8f1ef7102eab54e9d4578d810f04f51181a37b47e7",
         ()),
     "multiclass_3/nasg": (
         "277fcbc73eaff05bfd39a0083f836a1ff1d7d0cbc92bc6aae894f364f9e8f457",

@@ -28,16 +28,39 @@ def logaddexp_cases():
     return special + np.concatenate(draws).tolist()
 
 
-def test_stacked_matmul_equals_row_dot():
-    # Dataset.row_dots takes every row of one length in one stacked matmul;
-    # the row steps take each row's margin with ndarray.dot
-    rng = np.random.default_rng(40)
-    for width in range(1, 41):
-        vals = rng.standard_normal((64, width)) * 10.0 ** rng.integers(-8, 9, size=(64, width))
-        w = rng.standard_normal((64, width))
-        stacked = np.matmul(vals.reshape(64, 1, width), w.reshape(64, width, 1)).reshape(64)
-        rows = np.array([vals[k].dot(w[k]) for k in range(64)])
-        assert stacked.tobytes() == rows.tobytes(), f"row length {width}; {host()}"
+def float_cases():
+    """Random draws over a wide range of magnitudes, then +-0, subnormals,
+    +-inf, nan and values near +-1e308."""
+    tiny = float(np.finfo(np.float64).smallest_subnormal)
+    big = float(np.finfo(np.float64).max)
+    special = [0.0, -0.0, tiny, -tiny, 3 * tiny, 1e-310, -1e-310, 2.2e-308, -2.2e-308,
+               math.inf, -math.inf, math.nan, 1e308, -1e308, big, -big, 1.0, -1.0]
+    rng = np.random.default_rng(314)
+    draws = rng.standard_normal(4000) * 10.0 ** rng.integers(-300, 301, size=4000)
+    return special + draws.tolist()
+
+
+def same_floats(got, want):
+    """Bitwise equal, except that a nan matches any nan."""
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    return bool((np.isnan(got) == nan).all()) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@np.errstate(all="ignore")
+def test_python_float_arithmetic_equals_numpy_ufuncs():
+    # the logistic sweep where runs do not form takes each row step in Python
+    # floats; the row step, block sweep and batch gradient take numpy's array
+    # loops over the same operations: *, + 0.0 and -
+    cases = float_cases()
+    a = np.array(cases)
+    pairs = [(x, y) for x in cases[:18] for y in cases] + list(zip(cases, cases[::-1]))
+    x, y = (np.array(column) for column in zip(*pairs))
+    assert same_floats(x * y, [p * q for p, q in pairs]), host()
+    assert same_floats(x - y, [p - q for p, q in pairs]), host()
+    assert same_floats(a + 0.0, [p + 0.0 for p in cases]), host()
+    for p in cases[:18]:  # a Python float times an array, as coef * vals
+        assert same_floats(p * a, [p * q for q in cases]), (p, host())
 
 
 def test_add_at_sums_repeated_indices_in_index_order():
@@ -60,7 +83,9 @@ def test_add_at_sums_repeated_indices_in_index_order():
 def test_bincount_sums_each_bin_in_entry_order():
     # Dataset.tdot sums each column's entries with a weighted np.bincount; the
     # live twin renames the columns, so every per-column sum must keep its
-    # bits (tests/test_data.py checks the twin's renumbering itself)
+    # bits (tests/test_data.py checks the twin's renumbering itself).  Every
+    # logistic margin is the sum of a row's products from +0.0 in stored
+    # order, which Dataset.dot and the gathered rows take as one bincount.
     rng = np.random.default_rng(11)
     d = 40
     cols = 2 * rng.integers(0, d // 2, size=600)  # the odd columns are dead
@@ -77,6 +102,8 @@ def test_bincount_sums_each_bin_in_entry_order():
     perm = rng.permutation(d)
     renamed = np.bincount(perm[cols], weights=vals, minlength=d)
     assert renamed[perm].tobytes() == full.tobytes(), host()
+    # a bin of -0.0 entries sums to +0.0, as a sum from +0.0 does
+    assert np.bincount([0, 0], weights=[-0.0, -0.0]).tobytes() == np.array(0.0).tobytes()
 
 
 @np.errstate(invalid="ignore")  # numpy flags its comparisons on nan

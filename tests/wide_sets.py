@@ -6,9 +6,8 @@ import numpy as np
 
 from shuffleopt.data import Dataset
 
-# "wide-uniform" has sparse-wide's 8 entries per row; "wide-long" has 24,
-# more than the 16-entry blocks of a BLAS dot kernel; in both every row has
-# one length, so the row dots take one stacked matmul
+# "wide-uniform" has sparse-wide's 8 entries per row and "wide-long" 24, one
+# length for every row; "wide-mixed" has rows of several lengths
 WIDE_SETS = ("wide-uniform", "wide-long", "wide-mixed")
 
 
