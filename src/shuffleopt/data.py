@@ -149,7 +149,7 @@ class Dataset:
 
     @cached_property
     def _lengths(self) -> np.ndarray:
-        """Each row's stored entry count, built at the first gather."""
+        """Each row's stored entry count, built at first use."""
         return np.diff(self.indptr)
 
     def gather(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -197,8 +197,7 @@ class Dataset:
         columns, runs that long cannot be common, and they are not sought."""
         if _RUN_FLOOR * self.indices.size > self.d * self.n:
             return False
-        cols, _, lengths = self.gather(np.arange(self.n))
-        return self.n >= _RUN_FLOOR * (len(self.disjoint_runs(cols, lengths)) - 1)
+        return self.n >= _RUN_FLOOR * (len(self.disjoint_runs(self.indices, self._lengths)) - 1)
 
     @cached_property
     def live_columns(self) -> np.ndarray:

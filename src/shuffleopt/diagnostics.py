@@ -132,7 +132,9 @@ class RateFit:
 
 
 def fit_rate(points) -> RateFit:
-    """Least-squares slope of log(gap) against log(T).
+    """Least-squares line through (log T, log gap), in closed form: slope
+    sum (x - x_bar)(y - y_bar) / sum (x - x_bar)^2, intercept y_bar - slope
+    x_bar, with `math.log` and every sum taken in turn in Python floats.
 
     Needs at least three points with distinct horizons; non-positive gaps are
     rejected (the caller's grid reached the floating-point floor).
@@ -140,16 +142,16 @@ def fit_rate(points) -> RateFit:
     pts = [(float(T), float(gap)) for T, gap in points]
     if len(pts) < 3:
         raise ValueError("need at least 3 points to fit a rate")
-    horizons = [p[0] for p in pts]
-    if len(set(horizons)) != len(horizons):
+    if len({T for T, _ in pts}) != len(pts):
         raise ValueError("horizons must be distinct")
-    for _, gap in pts:
-        if gap <= 0:
-            raise ValueError("non-positive gap; shrink the horizon grid")
-    x = np.log([p[0] for p in pts])
-    y = np.log([p[1] for p in pts])
-    slope, intercept = np.polyfit(x, y, 1)
-    return RateFit(float(slope), float(intercept))
+    if any(gap <= 0 for _, gap in pts):
+        raise ValueError("non-positive gap; shrink the horizon grid")
+    x = [math.log(T) for T, _ in pts]
+    y = [math.log(gap) for _, gap in pts]
+    x_bar, y_bar = sum(x) / len(x), sum(y) / len(y)
+    dx = [a - x_bar for a in x]
+    slope = sum(a * (b - y_bar) for a, b in zip(dx, y)) / sum(a * a for a in dx)
+    return RateFit(slope, y_bar - slope * x_bar)
 
 
 def _center(x_curr: np.ndarray, x_prev: np.ndarray, t: int) -> np.ndarray:

@@ -40,7 +40,7 @@ import numpy as np
 from .data import load_libsvm
 from .diagnostics import convergence_bound, fit_rate
 from .objectives import (OBJECTIVES, LogisticObjective, ReferenceSolveError, make_quadratic,
-                         solve_reference, variance_at_point)
+                         solve_reference, squared_norm, variance_at_point)
 from .optimizers import OPTIMIZERS, DivergenceError, TraceOptions, run, start_point
 from .schedules import ScheduleKind, ScheduleSpec
 from .shuffling import SchemeKind
@@ -427,7 +427,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
     if build.reference is not None:
         x_star, f_star = build.reference
         with np.errstate(over="ignore"):
-            delta = float(np.sum((build.x0 - x_star) ** 2))
+            delta = squared_norm(build.x0 - x_star)
         if not math.isfinite(delta):
             raise ConfigError("||x0 - x_star||^2 overflows; choose a smaller x0")
         sigma_star_sq = variance_at_point(objective, x_star)

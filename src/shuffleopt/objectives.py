@@ -16,12 +16,13 @@ quadratic one skips the batch gather and mean.  nag's step, z -= scale *
 full_gradient(z), and nasg-pi's in-place extrapolation need nothing more.
 Objectives keep no scratch arrays between calls.
 
-A logistic row's margin <x_i, w> has one definition: the products vals *
-w[cols] summed one by one from +0.0 in stored order, no BLAS dot.  The row
-step and the component value and gradient take it as a Python loop
-(`_margin`); the full objective (`Dataset.dot`), the block sweep and the
-batch gradient take it as one weighted `np.bincount` over the rows' entries,
-which sums each row in the same order.  The logistic sweep has two paths.
+A row's margin <x_i, w> has one definition: the products vals * w[cols]
+summed one by one from +0.0 in stored order, no BLAS dot; a softmax logit is
+the margin with one class's weights, plus its offset.  The row step and the
+component value and gradient take it as a Python loop (`_margin`); the full
+objective (`Dataset.dot`), the block sweep and the batch gradient take it as
+one weighted `np.bincount` over the rows' entries, which sums each row in the
+same order.  The logistic sweep has two paths.
 On data where runs form (`Dataset.runs_form`) it applies each greedy run of
 rows with pairwise disjoint columns as one block: a row step reads and writes
 only its own columns, so the rows of such a run commute exactly.  Elsewhere
@@ -331,17 +332,20 @@ class SoftmaxObjective(Objective):
             Z[:, k] = self.data.dot(W[k])
         return Z + b
 
-    def component_value(self, w, i):
+    def _row_logits(self, w, i):
+        """Row i of `_logits(w)`, bitwise: each class's margin by `_margin`."""
         idx, val = self.data.row(i)
         W, b = self.unpack(w)
-        z = W[:, idx] @ val + b
+        return np.array([_margin(val, W[k, idx]) for k in range(self.c)]) + b
+
+    def component_value(self, w, i):
+        z = self._row_logits(w, i)
         m = z.max()
         return float(m + np.log(np.exp(z - m).sum()) - z[self.data.labels[i]])
 
     def component_gradient(self, w, i):
         idx, val = self.data.row(i)
-        W, b = self.unpack(w)
-        z = W[:, idx] @ val + b
+        z = self._row_logits(w, i)
         z -= z.max()
         p = np.exp(z)
         p /= p.sum()
@@ -397,7 +401,7 @@ class QuadraticObjective(Objective):
 
     def component_value(self, w, i):
         diff = w - self.centers[i]
-        return 0.5 * float(diff @ diff)
+        return 0.5 * float(np.add.reduce(diff * diff))
 
     def component_gradient(self, w, i):
         return w - self.centers[i]
@@ -461,9 +465,9 @@ def solve_reference(objective: Objective, tol: float = 1e-10,
     accelerated full-gradient method with step 1/L until ||grad F(y)|| <= tol
     at its extrapolated point y, and returns y: one full gradient per
     iteration both tests y and steps from it, and the first y is x0.  Its
-    momentum (k-1)/(k+2) restarts at k = 1 whenever a step climbs, i.e.
-    grad F(y) . (x_new - x) > 0 (gradient-scheme adaptive restart, O'Donoghue
-    and Candes); until the first restart k equals the iteration count t.
+    momentum (k-1)/(k+2) restarts at k = 1 whenever a step climbs, i.e. the
+    pairwise sum of grad F(y) * (x_new - x) is > 0 (gradient-scheme adaptive
+    restart, O'Donoghue and Candes); until the first restart k equals t.
     An infimum of 0 that is not attained (separable logistic or softmax data)
     raises ReferenceSolveError once F(x) has halved and ||x|| grown between
     two of the checks at t = 4096, 8192, ...; otherwise the cap on t raises it.
@@ -484,7 +488,8 @@ def solve_reference(objective: Objective, tol: float = 1e-10,
             alpha = 1.0 / objective.smoothness_bound()
         x_new = y - alpha * g
         step = x_new - x
-        k = 1 if g @ step > 0 else k + 1
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf or nan, silently
+            k = 1 if np.add.reduce(g * step) > 0 else k + 1
         y = x_new + ((k - 1) / (k + 2)) * step
         x = x_new
         if t == check:

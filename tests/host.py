@@ -1,13 +1,16 @@
 """The host the bitwise gates run on, as one line.
 
-The golden digests and the CLI corpus hash bytes that pass through BLAS and
-through numpy's SIMD loops, so they hold the bits of the host they were
-recorded on, `RECORDED_HOST`.  When one fails it prints that line beside this
-host's (`hosts`): numpy's version and the SIMD targets its dispatch enables,
-its BLAS build, the OpenBLAS kernel in use and OpenBLAS's thread count.
-numpy and OpenBLAS both pick their kernels by CPU at run time
-(``NPY_DISABLE_CPU_FEATURES`` turns numpy's targets off, ``OPENBLAS_CORETYPE``
-forces an OpenBLAS kernel, ``OPENBLAS_NUM_THREADS`` sets the thread count).
+No number the golden digests and the CLI corpus hash goes through BLAS or
+LAPACK, so they do not depend on the OpenBLAS kernel or thread count
+(``tests/kernels.py`` checks the kernels).  Some go through numpy's SIMD
+loops (array ``np.exp`` and ``np.log``), so they hold the bits of the numpy
+version and SIMD level they were recorded with, `RECORDED_HOST`.  When one
+fails it prints that line beside this host's (`hosts`): numpy's version and
+the SIMD targets its dispatch enables, its BLAS build, the OpenBLAS kernel in
+use and OpenBLAS's thread count.  numpy and OpenBLAS both pick their kernels
+by CPU at run time (``NPY_DISABLE_CPU_FEATURES`` turns numpy's targets off,
+``OPENBLAS_CORETYPE`` forces an OpenBLAS kernel, ``OPENBLAS_NUM_THREADS``
+sets the thread count).
 """
 
 import ctypes

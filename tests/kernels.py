@@ -1,21 +1,17 @@
-"""Run the relational tests, the golden digests and most of the CLI corpus
-under each OpenBLAS kernel that can be forced.
+"""Run the relational tests and every digest test under each OpenBLAS kernel
+that can be forced.
 
     python tests/kernels.py
 
-The relational tests compare two paths under one kernel (a fast path against
-the path it replaces), so they should pass under every kernel:
-``test_platform.py``, ``test_literal_methods.py``, ``test_live_twin.py``,
-``test_block_sweep_equals_row_steps_bitwise`` and
-``test_float_sweep_equals_row_steps_bitwise``.  The recorded digests run too,
-since neither a recorded squared norm nor a logistic margin goes through BLAS:
-``test_golden_trajectories_bitwise`` and the CLI corpus entries, except the
-ones in `KERNEL_BOUND`, which change under some kernel.
-``OPENBLAS_CORETYPE`` acts only on the process it is set for, so each kernel
-gets its own pytest process, one at a time.  A kernel whose instructions this
-CPU lacks dies of SIGILL and is reported as "cannot run here".  Prints one
-line per kernel and exits 1 when any kernel fails.  pytest does not collect
-this file.
+A relational test compares two paths (a fast path against the path it
+replaces) or two forms of one definition under one kernel, so it should pass
+under every kernel.  The digest tests (the golden trajectories, step sizes,
+bounds, config outcomes and the whole CLI corpus) should too, since no
+recorded number goes through BLAS or LAPACK.  ``OPENBLAS_CORETYPE`` acts only
+on the process it is set for, so each kernel gets its own pytest process, one
+at a time.  A kernel whose instructions this CPU lacks dies of SIGILL and is
+reported as "cannot run here".  Prints one line per kernel and exits 1 when
+any kernel fails.  pytest does not collect this file.
 """
 
 import os
@@ -26,18 +22,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 KERNELS = ("SkylakeX", "Haswell", "Sandybridge", "Prescott", "Nehalem")
-# corpus entries whose bytes change under some kernel, with the cause
-KERNEL_BOUND = {
-    "nasg-thm3-rate-sweep": "the rate fit's slope and intercept: np.polyfit's least squares",
-}
-CORPUS = sorted(path.stem for path in (ROOT / "tests" / "cli_corpus").glob("*.json")
-                if path.stem != "manifest" and path.stem not in KERNEL_BOUND)
 TESTS = ("tests/test_platform.py", "tests/test_literal_methods.py", "tests/test_live_twin.py",
+         "tests/test_config_outcomes.py", "tests/test_cli_corpus.py",
          "tests/test_optimizers.py::test_block_sweep_equals_row_steps_bitwise",
          "tests/test_optimizers.py::test_float_sweep_equals_row_steps_bitwise",
          "tests/test_optimizers.py::test_golden_trajectories_bitwise",
-         *(f"tests/test_cli_corpus.py::test_cli_output_matches_manifest[{name}]"
-           for name in CORPUS))
+         "tests/test_objectives.py::test_softmax_row_logits_are_full_logits_bitwise",
+         "tests/test_objectives.py::test_quadratic_component_value_is_full_value_term_bitwise",
+         "tests/test_schedules.py::test_step_sizes_bitwise",
+         "tests/test_diagnostics.py::test_bounds_bitwise",
+         "tests/test_diagnostics.py::test_fit_rate_matches_polyfit")
 # prints the kernel OpenBLAS runs, which may differ from the one forced
 PROBE = ("import sys; sys.path.insert(0, 'tests'); from host import host; "
          "print(host().split('; ')[-2])")

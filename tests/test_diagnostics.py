@@ -156,6 +156,21 @@ def test_fit_rate_exact_powers():
     assert math.exp(one_over_t.intercept) == pytest.approx(3.0, rel=1e-10)
 
 
+def test_fit_rate_matches_polyfit():
+    # np.polyfit's least squares, outside the library, as the reference; the
+    # slopes and intercepts drawn keep both away from 0
+    rng = np.random.default_rng(29)
+    for k in range(3, 9):
+        for _ in range(20):
+            Ts = np.sort(rng.choice(np.arange(2, 513), size=k, replace=False))
+            log_gaps = rng.uniform(-8.0, -3.0) - rng.uniform(0.5, 2.0) * np.log(Ts)
+            gaps = np.exp(log_gaps + rng.normal(scale=0.3, size=k))
+            fit = fit_rate(zip(Ts.tolist(), gaps.tolist()))
+            slope, intercept = np.polyfit(np.log(Ts), np.log(gaps), 1)
+            assert fit.slope == pytest.approx(slope, rel=1e-12, abs=0)
+            assert fit.intercept == pytest.approx(intercept, rel=1e-12, abs=0)
+
+
 def test_fit_rate_errors():
     with pytest.raises(ValueError, match="at least 3"):
         fit_rate([(2, 1.0), (4, 0.5)])

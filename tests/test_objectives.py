@@ -10,7 +10,7 @@ from shuffleopt.objectives import (LogisticObjective, QuadraticObjective,
                                    make_quadratic, solve_reference, variance_at_point)
 from shuffleopt.prng import derive_key, standard_normals
 from test_platform import logaddexp_cases
-from wide_sets import WIDE_SETS, wide_dataset
+from wide_sets import WIDE_SETS, wide_dataset, wide_multiclass
 
 RNG = np.random.default_rng(61803)
 
@@ -140,6 +140,29 @@ def test_softmax_fd():
         assert rel_err(obj.component_gradient(w, i), fd) <= 1e-6
     fd_full = central_diff(obj.full_value, w)
     assert rel_err(obj.full_gradient(w), fd_full) <= 1e-6
+
+
+def empty_row_multiclass():
+    """Three-class rows, one of which stores no entry."""
+    X = np.random.default_rng(12).normal(size=(6, 4))
+    X[2] = 0.0
+    return Dataset.from_dense(X, np.array([0, 1, 2, 1, 0, 2]), c=3)
+
+
+@pytest.mark.parametrize("name", ["multiclass_3.libsvm", "wide-multiclass", "empty-row"])
+def test_softmax_row_logits_are_full_logits_bitwise(fixtures_dir, name):
+    # one definition of a logit: the component value and gradient take a
+    # row's logits as the same sums the full objective takes, at every scale
+    data = {"wide-multiclass": wide_multiclass, "empty-row": empty_row_multiclass}.get(
+        name, lambda: load_libsvm(fixtures_dir / name))()
+    obj = SoftmaxObjective(data)
+    rng = np.random.default_rng(17)
+    for scale in (1e-3, 1.0, 1e3):
+        for _ in range(5):
+            w = scale * rng.normal(size=obj.dim)
+            full = obj._logits(w)
+            for i in range(obj.n):
+                assert obj._row_logits(w, i).tobytes() == full[i].tobytes(), (scale, i)
 
 
 def test_softmax_requires_multiclass():
@@ -360,6 +383,19 @@ def test_quadratic_full_value_matches_reference_bitwise():
             for _ in range(2):  # the second call reuses the scratch
                 assert struct.pack("<d", obj.full_value(w)) == \
                     struct.pack("<d", reference_full_value(obj, w))
+
+
+def test_quadratic_component_value_is_full_value_term_bitwise():
+    # one definition of a component's value: half the row term full_value sums
+    for obj in (make_quadratic(500, 50, seed=5)[0], signed_zero_quadratic()):
+        rng = np.random.default_rng(obj.n)
+        for w in step_points(obj.dim)[::2] + [10.0 * rng.normal(size=obj.dim)]:
+            diffs = w - obj.centers
+            diffs *= diffs
+            terms = diffs.sum(axis=1)
+            for i in range(obj.n):
+                assert struct.pack("<d", obj.component_value(w, i)) == \
+                    struct.pack("<d", 0.5 * float(terms[i])), i
 
 
 # ---------------------------------------------------------- reference solve
