@@ -132,9 +132,9 @@ class RateFit:
 
 
 def fit_rate(points) -> RateFit:
-    """Least-squares line through (log T, log gap), in closed form: slope
-    sum (x - x_bar)(y - y_bar) / sum (x - x_bar)^2, intercept y_bar - slope
-    x_bar, with `math.log` and every sum taken in turn in Python floats.
+    """Least-squares line through (log T, log gap) in closed form, from
+    `math.log` and the builtin `sum`: slope sum (x - x_bar)(y - y_bar) /
+    sum (x - x_bar)^2, intercept y_bar - slope x_bar.
 
     Needs at least three points with distinct horizons; non-positive gaps are
     rejected (the caller's grid reached the floating-point floor).

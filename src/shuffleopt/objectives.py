@@ -18,11 +18,10 @@ Objectives keep no scratch arrays between calls.
 
 A row's margin <x_i, w> has one definition: the products vals * w[cols]
 summed one by one from +0.0 in stored order, no BLAS dot; a softmax logit is
-the margin with one class's weights, plus its offset.  The row step and the
-component value and gradient take it as a Python loop (`_margin`); the full
-objective (`Dataset.dot`), the block sweep and the batch gradient take it as
-one weighted `np.bincount` over the rows' entries, which sums each row in the
-same order.  The logistic sweep has two paths.
+a class's margin plus its offset.  The logistic row step and component value
+and gradient take it as a Python loop (`_margin`); `Dataset.dot`, softmax's
+row logits, the block sweep and the batch gradient as one `np.bincount`,
+which sums each row in the same order.  The logistic sweep has two paths.
 On data where runs form (`Dataset.runs_form`) it applies each greedy run of
 rows with pairwise disjoint columns as one block: a row step reads and writes
 only its own columns, so the rows of such a run commute exactly.  Elsewhere
@@ -318,6 +317,7 @@ class SoftmaxObjective(Objective):
         self.d = dataset.d
         self.dim = self.c * self.d + self.c
         self._L = (float(dataset.row_sq_norms().max()) + 1.0) / 2.0
+        self._classes = np.tile(np.arange(self.c), int(np.diff(dataset.indptr).max()))
 
     def smoothness_bound(self) -> float:
         return self._L
@@ -332,20 +332,22 @@ class SoftmaxObjective(Objective):
             Z[:, k] = self.data.dot(W[k])
         return Z + b
 
-    def _row_logits(self, w, i):
-        """Row i of `_logits(w)`, bitwise: each class's margin by `_margin`."""
-        idx, val = self.data.row(i)
+    def _row_logits(self, w, idx, val):
+        """Logits of the row (idx, val), bitwise as `_logits` takes them: one
+        `np.bincount` adds each class's products in stored order from +0.0."""
         W, b = self.unpack(w)
-        return np.array([_margin(val, W[k, idx]) for k in range(self.c)]) + b
+        products = (W.T[idx] * val[:, None]).ravel()  # entry by entry, class by class
+        z = np.bincount(self._classes[: products.size], products, self.c)
+        return z.astype(np.float64, copy=False) + b
 
     def component_value(self, w, i):
-        z = self._row_logits(w, i)
+        z = self._row_logits(w, *self.data.row(i))
         m = z.max()
         return float(m + np.log(np.exp(z - m).sum()) - z[self.data.labels[i]])
 
     def component_gradient(self, w, i):
         idx, val = self.data.row(i)
-        z = self._row_logits(w, i)
+        z = self._row_logits(w, idx, val)
         z -= z.max()
         p = np.exp(z)
         p /= p.sum()

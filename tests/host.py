@@ -4,21 +4,24 @@ No number the golden digests and the CLI corpus hash goes through BLAS or
 LAPACK, so they do not depend on the OpenBLAS kernel or thread count
 (``tests/kernels.py`` checks the kernels).  Some go through numpy's SIMD
 loops (array ``np.exp`` and ``np.log``), so they hold the bits of the numpy
-version and SIMD level they were recorded with, `RECORDED_HOST`.  When one
-fails it prints that line beside this host's (`hosts`): numpy's version and
-the SIMD targets its dispatch enables, its BLAS build, the OpenBLAS kernel in
-use and OpenBLAS's thread count.  numpy and OpenBLAS both pick their kernels
+version and SIMD level they were recorded with, and some through the builtin
+``sum``, which compensates its float sums from Python 3.12 on, so they hold
+the Python minor version's too: `RECORDED_HOST`.  When one fails it prints
+that line beside this host's (`hosts`): the Python version, numpy's version
+and the SIMD targets its dispatch enables, its BLAS build, the OpenBLAS
+kernel in use and OpenBLAS's thread count.  numpy and OpenBLAS both pick their kernels
 by CPU at run time (``NPY_DISABLE_CPU_FEATURES`` turns numpy's targets off,
 ``OPENBLAS_CORETYPE`` forces an OpenBLAS kernel, ``OPENBLAS_NUM_THREADS``
 sets the thread count).
 """
 
 import ctypes
+import platform
 from pathlib import Path
 
 import numpy as np
 
-RECORDED_HOST = ("numpy 2.4.6; SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR; "
+RECORDED_HOST = ("Python 3.11.7; numpy 2.4.6; SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR; "
                  "BLAS scipy-openblas 0.3.31.188.0 (OpenBLAS 0.3.31.188.0  "
                  "USE64BITINT DYNAMIC_ARCH NO_AFFINITY Haswell MAX_THREADS=64); kernel SkylakeX")
 
@@ -44,15 +47,15 @@ def _simd() -> str:
 
 
 def host() -> str:
-    """numpy's version and enabled SIMD targets, its BLAS build, and the
-    OpenBLAS kernel and thread count in use."""
+    """The Python version, numpy's version and enabled SIMD targets, its BLAS
+    build, and the OpenBLAS kernel and thread count in use."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except TypeError:  # numpy before 1.26 only prints its configuration
         blas = {}
     core = _openblas("scipy_openblas_get_corename64_", ctypes.c_char_p)
     threads = _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
-    return (f"numpy {np.__version__}; SIMD {_simd()}; "
+    return (f"Python {platform.python_version()}; numpy {np.__version__}; SIMD {_simd()}; "
             f"BLAS {blas.get('name')} {blas.get('version')} "
             f"({blas.get('openblas configuration', 'no configuration')}); "
             f"kernel {core.decode() if isinstance(core, bytes) else core}; "

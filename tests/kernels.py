@@ -3,13 +3,11 @@ that can be forced.
 
     python tests/kernels.py
 
-A relational test compares two paths (a fast path against the path it
-replaces) or two forms of one definition under one kernel, so it should pass
-under every kernel.  The digest tests (the golden trajectories, step sizes,
-bounds, config outcomes and the whole CLI corpus) should too, since no
-recorded number goes through BLAS or LAPACK.  ``OPENBLAS_CORETYPE`` acts only
-on the process it is set for, so each kernel gets its own pytest process, one
-at a time.  A kernel whose instructions this CPU lacks dies of SIGILL and is
+A relational test compares two paths, or two forms of one definition, under
+one kernel, and no recorded number goes through BLAS or LAPACK, so every test
+here should pass under every kernel.  ``OPENBLAS_CORETYPE`` acts only on the
+process it is set for, so each kernel gets its own pytest process, one at a
+time.  A kernel whose instructions this CPU lacks dies of SIGILL and is
 reported as "cannot run here".  Prints one line per kernel and exits 1 when
 any kernel fails.  pytest does not collect this file.
 """

@@ -162,7 +162,7 @@ def test_softmax_row_logits_are_full_logits_bitwise(fixtures_dir, name):
             w = scale * rng.normal(size=obj.dim)
             full = obj._logits(w)
             for i in range(obj.n):
-                assert obj._row_logits(w, i).tobytes() == full[i].tobytes(), (scale, i)
+                assert obj._row_logits(w, *data.row(i)).tobytes() == full[i].tobytes(), (scale, i)
 
 
 def test_softmax_requires_multiclass():
