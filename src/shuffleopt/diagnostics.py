@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .objectives import ordered_sum, squared_norm
 from .schedules import ScheduleKind, ScheduleSpec
 
 if TYPE_CHECKING:
@@ -22,8 +23,8 @@ _E = math.e
 
 
 def _rel_err(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    scale = max(1.0, float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)))
-    return float(np.linalg.norm(lhs - rhs)) / scale
+    scale = max(1.0, math.sqrt(squared_norm(lhs)), math.sqrt(squared_norm(rhs)))
+    return math.sqrt(squared_norm(lhs - rhs)) / scale
 
 
 @dataclass
@@ -133,7 +134,7 @@ class RateFit:
 
 def fit_rate(points) -> RateFit:
     """Least-squares line through (log T, log gap) in closed form, from
-    `math.log` and the builtin `sum`: slope sum (x - x_bar)(y - y_bar) /
+    `math.log` and `ordered_sum`: slope sum (x - x_bar)(y - y_bar) /
     sum (x - x_bar)^2, intercept y_bar - slope x_bar.
 
     Needs at least three points with distinct horizons; non-positive gaps are
@@ -148,9 +149,9 @@ def fit_rate(points) -> RateFit:
         raise ValueError("non-positive gap; shrink the horizon grid")
     x = [math.log(T) for T, _ in pts]
     y = [math.log(gap) for _, gap in pts]
-    x_bar, y_bar = sum(x) / len(x), sum(y) / len(y)
+    x_bar, y_bar = ordered_sum(x) / len(x), ordered_sum(y) / len(y)
     dx = [a - x_bar for a in x]
-    slope = sum(a * (b - y_bar) for a, b in zip(dx, y)) / sum(a * a for a in dx)
+    slope = ordered_sum(a * (b - y_bar) for a, b in zip(dx, y)) / ordered_sum(a * a for a in dx)
     return RateFit(slope, y_bar - slope * x_bar)
 
 

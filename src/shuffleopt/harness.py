@@ -40,7 +40,7 @@ import numpy as np
 from .data import load_libsvm
 from .diagnostics import convergence_bound, fit_rate
 from .objectives import (OBJECTIVES, LogisticObjective, ReferenceSolveError, make_quadratic,
-                         solve_reference, squared_norm, variance_at_point)
+                         ordered_sum, solve_reference, squared_norm, variance_at_point)
 from .optimizers import OPTIMIZERS, DivergenceError, TraceOptions, run, start_point
 from .schedules import ScheduleKind, ScheduleSpec
 from .shuffling import SchemeKind
@@ -442,8 +442,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
         for grid_lr in config.grid:
             runs = table[grid_lr, epochs]
             finals = [result.final_value for result, bad in runs if bad is None]
+            mean = ordered_sum(finals) / len(finals) if finals else None
             grid_rows.append({"lr": grid_lr, "diverged": any(bad is not None for _, bad in runs),
-                              "mean_final_value": (sum(finals) / len(finals)) if finals else None})
+                              "mean_final_value": mean})
         eligible = [g for g in grid_rows if not g["diverged"]]
         if not eligible:
             raise HarnessError("every grid entry diverged")
@@ -499,8 +500,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
             for (_, bad), seed in zip(table[lr, T], seeds):
                 if bad is not None:
                     raise HarnessError(f"rate sweep diverged at T={T}, seed={seed}")
-        gaps = [sum(result.final_value - f_star for result, _ in table[lr, T]) / len(seeds)
-                for T in config.rate_epochs]
+        gaps = [ordered_sum(result.final_value - f_star for result, _ in table[lr, T])
+                / len(seeds) for T in config.rate_epochs]
         try:
             fit = fit_rate(zip(config.rate_epochs, gaps))
         except ValueError as err:
@@ -531,7 +532,7 @@ def _bound_report(regime: str, bound: float, T: int, constants: dict, per_seed) 
     """
     gaps = [(e["seed"], e["final_gap"]) for e in per_seed if not e["diverged"]]
     if gaps:
-        gaps.append((None, sum(gap for _, gap in gaps) / len(gaps)))
+        gaps.append((None, ordered_sum(gap for _, gap in gaps) / len(gaps)))
     rows = [{"T": T, "seed": seed, "gap": gap, "bound": bound, "satisfied": bool(gap <= bound)}
             for seed, gap in gaps]
     satisfied = all(row["satisfied"] for row in rows) and not any(e["diverged"] for e in per_seed)

@@ -14,20 +14,20 @@ base class computes exactly those, and its per-row loop is the quadratic and
 softmax sweep; the logistic row step costs O(nnz) of the row and the
 quadratic one skips the batch gather and mean.  nag's step, z -= scale *
 full_gradient(z), and nasg-pi's in-place extrapolation need nothing more.
-Objectives keep no scratch arrays between calls.
+These contracts hold bitwise on finite values; a nan's sign follows the
+interpreter (CPython's `nan + -nan` returns either nan, by whether the add is
+specialized), and no artifact holds a nan.  Objectives keep no scratch arrays.
 
-A row's margin <x_i, w> has one definition: the products vals * w[cols]
-summed one by one from +0.0 in stored order, no BLAS dot; a softmax logit is
-a class's margin plus its offset.  The logistic row step and component value
-and gradient take it as a Python loop (`_margin`); `Dataset.dot`, softmax's
-row logits, the block sweep and the batch gradient as one `np.bincount`,
-which sums each row in the same order.  The logistic sweep has two paths.
-On data where runs form (`Dataset.runs_form`) it applies each greedy run of
-rows with pairwise disjoint columns as one block: a row step reads and writes
-only its own columns, so the rows of such a run commute exactly.  Elsewhere
-it takes each row step in Python floats over z as a list, operation for
-operation as the row step takes it in numpy.  The logistic batch gradient
-gathers its rows once and scatters them with one ordered `np.add.at`.
+Every recorded total has one definition, outside BLAS: a squared norm is
+`squared_norm`, any other sum `ordered_sum`.  A row's margin <x_i, w> is the
+products vals * w[cols] summed in stored order; a softmax logit is a class's
+margin plus its offset.  The logistic row step and component value and
+gradient take it with `ordered_sum`; `Dataset.dot`, softmax's row logits, the
+block sweep and the batch gradient as one `np.bincount`, which sums each bin
+in that order.  The logistic sweep applies each greedy run of rows with
+pairwise disjoint columns as one block where runs form (`Dataset.runs_form`),
+since such rows commute exactly; elsewhere it takes each row step in Python
+floats over z as a list, operation for operation as the numpy row step.
 
 `live_twin` is an objective over the live parameters alone, those whose
 gradient some row can make nonzero, with their indices into the parameter
@@ -72,14 +72,14 @@ def squared_norm(v: np.ndarray) -> float:
     return float(np.add.reduce(v * v))
 
 
-def _margin(vals: np.ndarray, w_cols: np.ndarray) -> float:
-    """A row's margin <x_i, w>, where w_cols holds w at the row's columns:
-    the products vals * w_cols summed one by one from +0.0 in stored order,
-    as `Dataset.dot`'s `np.bincount` sums them."""
-    m = 0.0
-    for p in (vals * w_cols).tolist():
-        m += p
-    return m
+def ordered_sum(xs) -> float:
+    """The floats of `xs` added one by one from +0.0, for every recorded total
+    that is not a norm: the sum `np.bincount` takes per bin, and Python 3.11's
+    builtin `sum`, which compensates from 3.12 on."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
 
 
 def _logaddexp0(z: float) -> float:
@@ -174,13 +174,13 @@ class LogisticObjective(Objective):
 
     def component_value(self, w, i):
         cols, vals = self.data.row(i)
-        return _logaddexp0(-(self._labels[i] * _margin(vals, w[cols])))
+        return _logaddexp0(-(self._labels[i] * ordered_sum((vals * w[cols]).tolist())))
 
     def component_gradient(self, w, i):
         cols, vals = self.data.row(i)
         g = np.zeros(self.dim)
         # the one-row batch: +0.0 plus the row's gradient, divided by 1
-        g[cols] += self._row_coef(i, _margin(vals, w[cols])) * vals
+        g[cols] += self._row_coef(i, ordered_sum((vals * w[cols]).tolist())) * vals
         return g
 
     def _row_coef(self, i, margin):
@@ -203,7 +203,7 @@ class LogisticObjective(Objective):
         """The gathered rows' gradients, flat: each row's coefficient times
         its values, where w_cols holds w at the rows' columns.  The margins
         are one weighted `np.bincount` over the entries' row positions, which
-        sums each row from +0.0 in entry order, as `_margin` does."""
+        sums each row from +0.0 in entry order, as `ordered_sum` does."""
         m = lengths.size
         margins = np.bincount(np.repeat(np.arange(m), lengths), weights=vals * w_cols, minlength=m)
         grads = np.repeat(self._coefs(labels, margins), lengths)
@@ -211,14 +211,13 @@ class LogisticObjective(Objective):
         return grads
 
     def batch_mean_gradient(self, w, ids):
-        """One gather of the batch's rows; their gradients are summed into
-        zeros in batch order by one `np.add.at`, and only the touched columns
-        are divided, since every other entry is +0.0 and +0.0 / k is +0.0."""
+        """One gather of the batch's rows, summed per column in batch order by
+        one `np.bincount` (cast: it counts an empty batch in integers); only
+        the touched columns are divided, since +0.0 / k is +0.0."""
         ids = np.asarray(ids)
         cols, vals, lengths = self.data.gather(ids)
         grads = self._row_grads(self.data.labels[ids], vals, w[cols], lengths)
-        g = np.zeros(self.dim)
-        np.add.at(g, cols, grads)
+        g = np.bincount(cols, grads, self.dim).astype(np.float64, copy=False)
         g[cols] /= len(ids)
         return g
 
@@ -232,7 +231,7 @@ class LogisticObjective(Objective):
         """
         cols, vals = self.data.row(i)
         zc = z[cols]
-        grad = self._row_coef(i, _margin(vals, zc)) * vals
+        grad = self._row_coef(i, ordered_sum((vals * zc).tolist())) * vals
         # 0.0 + (-0.0) is +0.0, as in the zeroed dense buffer; the dense
         # division by 1 is exact
         grad += 0.0
@@ -452,11 +451,8 @@ def make_quadratic(n: int, d: int, seed: int, spread: float = 1.0):
 def variance_at_point(objective: Objective, w: np.ndarray) -> float:
     """(1/n) sum_i ||grad f(w; i)||^2; at a minimizer this is the residual
     component-gradient variance that drives the convergence bounds."""
-    total = 0.0
-    for i in range(objective.n):
-        g = objective.component_gradient(w, i)
-        total += squared_norm(g)
-    return total / objective.n
+    return ordered_sum(squared_norm(objective.component_gradient(w, i))
+                       for i in range(objective.n)) / objective.n
 
 
 def solve_reference(objective: Objective, tol: float = 1e-10,

@@ -2,17 +2,16 @@
 
 No number the golden digests and the CLI corpus hash goes through BLAS or
 LAPACK, so they do not depend on the OpenBLAS kernel or thread count
-(``tests/kernels.py`` checks the kernels).  Some go through numpy's SIMD
-loops (array ``np.exp`` and ``np.log``), so they hold the bits of the numpy
-version and SIMD level they were recorded with, and some through the builtin
-``sum``, which compensates its float sums from Python 3.12 on, so they hold
-the Python minor version's too: `RECORDED_HOST`.  When one fails it prints
-that line beside this host's (`hosts`): the Python version, numpy's version
-and the SIMD targets its dispatch enables, its BLAS build, the OpenBLAS
-kernel in use and OpenBLAS's thread count.  numpy and OpenBLAS both pick their kernels
-by CPU at run time (``NPY_DISABLE_CPU_FEATURES`` turns numpy's targets off,
-``OPENBLAS_CORETYPE`` forces an OpenBLAS kernel, ``OPENBLAS_NUM_THREADS``
-sets the thread count).
+(``tests/kernels.py`` checks the kernels), and no total takes the builtin
+``sum``, so they do not depend on the Python version (``ordered_sum``).  Some
+go through numpy's SIMD loops (array ``np.exp`` and ``np.log``), so they hold
+the bits of the numpy version and SIMD level they were recorded with:
+`RECORDED_HOST`.  When one fails it prints that line beside this host's
+(`hosts`), which also names the Python version, numpy's BLAS build, the
+OpenBLAS kernel in use and OpenBLAS's thread count.  numpy and OpenBLAS both
+pick their kernels by CPU at run time (``NPY_DISABLE_CPU_FEATURES`` turns
+numpy's targets off, ``OPENBLAS_CORETYPE`` forces an OpenBLAS kernel,
+``OPENBLAS_NUM_THREADS`` sets the thread count).
 """
 
 import ctypes
@@ -21,9 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-RECORDED_HOST = ("Python 3.11.7; numpy 2.4.6; SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR; "
-                 "BLAS scipy-openblas 0.3.31.188.0 (OpenBLAS 0.3.31.188.0  "
-                 "USE64BITINT DYNAMIC_ARCH NO_AFFINITY Haswell MAX_THREADS=64); kernel SkylakeX")
+RECORDED_HOST = "numpy 2.4.6; SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
 
 
 def _openblas(name: str, restype):

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from shuffleopt.diagnostics import (check_drift_bound, convergence_bound,
-                                    epoch_dispersion, fit_rate)
+from shuffleopt.diagnostics import (center_update_errors, check_drift_bound,
+                                    convergence_bound, epoch_dispersion, fit_rate,
+                                    momentum_reconstruction_errors)
 from shuffleopt.objectives import make_quadratic, variance_at_point
 from shuffleopt.optimizers import TraceOptions, run
 from shuffleopt.schedules import ScheduleKind, ScheduleSpec
@@ -87,6 +88,16 @@ def test_drift_bound_on_real_run():
         assert check.satisfied
 
 
+def test_momentum_checks_need_their_recordings():
+    xs = [np.zeros(2), np.ones(2), np.ones(2)]
+    with pytest.raises(ValueError, match="y_0 .. y_T"):
+        momentum_reconstruction_errors(xs, xs[:2])
+    obj = make_quadratic(5, 2, seed=1)[0]
+    res = run("nasg", obj, "ig", ScheduleSpec(ScheduleKind.UNIFIED, T=2, L=1.0))
+    with pytest.raises(ValueError, match="must record iterates"):
+        center_update_errors(res, obj)
+
+
 def test_drift_vs_end_dispersion_triangle():
     # K <= 2I + 2||y_last - y_0||^2, exactly, for recorded iterate stacks
     obj, _, _ = make_quadratic(20, 5, seed=3)
@@ -145,6 +156,10 @@ def test_bound_missing_constants():
         convergence_bound("thm1", 1, L=1.0, sigma_star_sq=1.0, delta=1.0)
     with pytest.raises(ValueError, match="constant"):
         convergence_bound("constant", 10, L=1.0)
+    with pytest.raises(ValueError, match="sigma_star_sq must be >= 0"):
+        convergence_bound("thm1", 10, L=1.0, sigma_star_sq=-1.0, delta=1.0)
+    with pytest.raises(ValueError, match="delta must be >= 0"):
+        convergence_bound("thm3", 10, L=1.0, sigma_star_sq=1.0, delta=-1.0, n=5)
 
 
 def test_fit_rate_exact_powers():

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -436,6 +437,8 @@ BAD_CONFIGS = {
     "unknown-dataset-kind": {"dataset": {"kind": "csv"}},
     "unknown-libsvm-objective": {"dataset": {"kind": "libsvm", "objective": "hinge",
                                              "path": str(FIXTURES / "blobs600.libsvm")}},
+    "multiclass-libsvm-with-default-objective": {
+        "dataset": {"kind": "libsvm", "path": str(FIXTURES / "multiclass_3.libsvm")}},
     # rules that relate two values
     "negative-sigma-sq": {"schedule": {"kind": "thm2", "sigma_sq": -1}},
     "closed-form-on-libsvm": {"dataset": {"kind": "libsvm",
@@ -479,6 +482,8 @@ BAD_KEYS = {"nan-lr": "schedule.lr", "infinite-lr": "schedule.lr", "nan-grid-rat
             "unknown-reference": "reference",
             "unknown-dataset-kind": "error: unknown dataset kind 'csv'",
             "unknown-libsvm-objective": "objective",
+            "multiclass-libsvm-with-default-objective":
+                "error: logistic objective needs a binary dataset\n",
             "negative-sigma-sq": "error: schedule.sigma_sq must be >= 0",
             "closed-form-on-libsvm": "error: closed-form reference only exists",
             "objective-flag-on-quadratic": "error: --objective only applies to libsvm",
@@ -648,24 +653,34 @@ def test_rerun_with_fewer_seeds_leaves_no_stale_csv(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
 
-@pytest.mark.parametrize("failing_write", [1, 2, 3])
-def test_failed_write_keeps_the_old_output(tmp_path, monkeypatch, failing_write):
-    out = tmp_path / "out"
+@pytest.mark.parametrize("failing_write", [1, 2, 3, "rename"])
+def test_failed_write_keeps_the_old_output(tmp_path, monkeypatch, capsys, failing_write):
+    work = tmp_path / "work"
+    out = work / "out"
     run_experiment(quad_config(seeds=[1, 2, 3]), out)
     before = _tree(out)
-    writes, write_text = [], harness._write_text
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(quad_config(seeds=[4, 5], epochs=3).to_dict()))
+    writes, write_text, replace = [], harness._write_text, os.replace
 
-    def flaky(path, text):
+    def flaky_write(path, text):
         writes.append(path)
         if len(writes) == failing_write:
             raise OSError("disk full")
         write_text(path, text)
 
-    monkeypatch.setattr(harness, "_write_text", flaky)
-    with pytest.raises(OSError, match="disk full"):
-        run_experiment(quad_config(seeds=[4, 5], epochs=3), out)
+    def flaky_replace(src, dst):
+        # moving the new tree onto out fails, and moving the old one back does not
+        if failing_write == "rename" and Path(src).name == "new":
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr(harness, "_write_text", flaky_write)
+    monkeypatch.setattr(os, "replace", flaky_replace)
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
     assert _tree(out) == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]  # no staging sibling left
+    assert sorted(p.name for p in work.iterdir()) == ["out"]  # no staging sibling left
 
 
 @pytest.mark.parametrize("case", ["file", "foreign-file", "working-directory",

@@ -7,8 +7,10 @@ import pytest
 from shuffleopt.data import Dataset, load_libsvm
 from shuffleopt.objectives import (LogisticObjective, QuadraticObjective,
                                    ReferenceSolveError, SoftmaxObjective, _logaddexp0,
-                                   make_quadratic, solve_reference, variance_at_point)
+                                   make_quadratic, ordered_sum, solve_reference,
+                                   variance_at_point)
 from shuffleopt.prng import derive_key, standard_normals
+from floats import same_floats
 from test_platform import logaddexp_cases
 from wide_sets import WIDE_SETS, wide_dataset, wide_multiclass
 
@@ -107,6 +109,22 @@ def test_logaddexp0_is_numpy_logaddexp_bitwise():
     for i, y in enumerate((-1.0, 1.0)):
         scalar = np.array([obj._row_coef(i, m) for m in margins.tolist()]).tobytes()
         assert obj._coefs(np.full(margins.size, y), margins).tobytes() == scalar
+
+
+def test_ordered_sum_adds_one_by_one_from_positive_zero():
+    xs = [math.log(4), math.log(8), math.log(16)]
+    # the sequential sum, one ulp below the exact sum that a compensated
+    # builtin `sum` (Python 3.12 on) gives
+    assert ordered_sum(xs).hex() == ((0.0 + xs[0]) + xs[1] + xs[2]).hex() == "0x1.8f40b5ed9812cp+2"
+    assert math.fsum(xs).hex() == "0x1.8f40b5ed9812dp+2"
+    assert ordered_sum(iter(xs)) == ordered_sum(xs)
+    assert math.copysign(1.0, ordered_sum([-0.0])) == 1.0
+    assert ordered_sum([]) == 0.0
+    # np.bincount takes the same sum in each bin
+    rng = np.random.default_rng(5)
+    vals = rng.standard_normal(200) * 10.0 ** rng.integers(-12, 13, size=200)
+    assert struct.pack("<d", ordered_sum(vals.tolist())) == \
+        np.bincount(np.zeros(200, dtype=np.int64), vals).tobytes()
 
 
 # ----------------------------------------------------------------- softmax
@@ -288,7 +306,8 @@ def assert_step_is_dense_update(obj):
     """Every batch gives the same mean gradient as a numpy array and as the
     list of Python ints that `run` passes, `row_step` takes each row of the
     three-row batch to its one-row dense update, and `sweep` over each batch
-    equals `row_step` for each of its rows in turn."""
+    equals `row_step` for each of its rows in turn: bitwise, but a nan matches
+    any nan."""
     for z in step_points(obj.dim):
         for batch in step_batches(obj.n):
             dense = obj.batch_mean_gradient(z, batch)
@@ -298,14 +317,14 @@ def assert_step_is_dense_update(obj):
                 expected = z - scale * obj.batch_mean_gradient(z, [i])
                 got = z.copy()
                 assert obj.row_step(got, i, scale) is None
-                assert got.tobytes() == expected.tobytes(), (i, scale)
+                assert same_floats(got, expected), (i, scale)
         for order in step_batches(obj.n):
             expected = z.copy()
             for i in order.tolist():
                 obj.row_step(expected, i, 0.5)
             got = z.copy()
             assert obj.sweep(got, order, 0.5) is None
-            assert got.tobytes() == expected.tobytes(), order
+            assert same_floats(got, expected), order
 
 
 def reference_batch_mean_gradient(obj, w, ids):
@@ -339,9 +358,9 @@ def test_logistic_step_equals_dense_update_bitwise(fixtures_dir, name):
     assert_step_is_dense_update(obj)
     for z in step_points(obj.dim):
         for batch in step_batches(obj.n):
-            expected = reference_batch_mean_gradient(obj, z, batch.tolist()).tobytes()
+            expected = reference_batch_mean_gradient(obj, z, batch.tolist())
             for ids in (batch.tolist(), batch.astype(np.int64)):
-                assert obj.batch_mean_gradient(z, ids).tobytes() == expected, batch
+                assert same_floats(obj.batch_mean_gradient(z, ids), expected), batch
 
 
 def signed_zero_quadratic():

@@ -504,7 +504,7 @@ def test_run_validation():
 # thm1}.  The digests were recorded with the per-method epoch functions that
 # preceded run's single sweep loop, so they pin the floating-point order of
 # every update rule.  Each entry is (digest, divergence epochs in case order).
-# They hold the BLAS bits of the host named in `host.RECORDED_HOST`.
+# They hold the bits of the numpy version and SIMD level in `host.RECORDED_HOST`.
 
 GOLDEN = {
     "quadratic/nasg": (

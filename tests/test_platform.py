@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from floats import same_floats
 from host import host
 
 
@@ -40,13 +41,6 @@ def float_cases():
     return special + draws.tolist()
 
 
-def same_floats(got, want):
-    """Bitwise equal, except that a nan matches any nan."""
-    got, want = np.asarray(got), np.asarray(want)
-    nan = np.isnan(want)
-    return bool((np.isnan(got) == nan).all()) and got[~nan].tobytes() == want[~nan].tobytes()
-
-
 @np.errstate(all="ignore")
 def test_python_float_arithmetic_equals_numpy_ufuncs():
     # the logistic sweep where runs do not form takes each row step in Python
@@ -63,29 +57,13 @@ def test_python_float_arithmetic_equals_numpy_ufuncs():
         assert same_floats(p * a, [p * q for q in cases]), (p, host())
 
 
-def test_add_at_sums_repeated_indices_in_index_order():
-    # the logistic batch gradient scatters its rows with one np.add.at, which
-    # must add in batch order, as the per-row loop did
-    rng = np.random.default_rng(7)
-    ids = rng.integers(0, 5, size=400)
-    vals = rng.standard_normal(400) * 10.0 ** rng.integers(-12, 13, size=400)
-    got = np.zeros(5)
-    np.add.at(got, ids, vals)
-    in_order, reversed_order = np.zeros(5), np.zeros(5)
-    for i, v in zip(ids.tolist(), vals.tolist()):
-        in_order[i] += v
-    for i, v in zip(ids.tolist()[::-1], vals.tolist()[::-1]):
-        reversed_order[i] += v
-    assert in_order.tobytes() != reversed_order.tobytes()  # the sums depend on the order
-    assert got.tobytes() == in_order.tobytes(), host()
-
-
 def test_bincount_sums_each_bin_in_entry_order():
     # Dataset.tdot sums each column's entries with a weighted np.bincount; the
     # live twin renames the columns, so every per-column sum must keep its
     # bits (tests/test_data.py checks the twin's renumbering itself).  Every
     # logistic margin is the sum of a row's products from +0.0 in stored
-    # order, which Dataset.dot and the gathered rows take as one bincount.
+    # order, which Dataset.dot and the gathered rows take as one bincount,
+    # and the batch gradient adds its rows per column with one, in batch order.
     rng = np.random.default_rng(11)
     d = 40
     cols = 2 * rng.integers(0, d // 2, size=600)  # the odd columns are dead
@@ -123,6 +101,7 @@ def test_array_exp_and_logaddexp_equal_their_scalar_forms():
 WIDE_RUN = """
 import hashlib, sys
 sys.path[:0] = sys.argv[1:]
+from floats import same_floats
 from host import host
 from wide_sets import wide_dataset
 from shuffleopt.objectives import LogisticObjective

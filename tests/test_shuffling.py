@@ -37,6 +37,8 @@ def test_errors():
         generate_permutation(scheme, 0, 1)
     with pytest.raises(ValueError):
         generate_permutation(scheme, 3, 0)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        uniform_indices(0, 1, 0, 5)
 
 
 def test_determinism_and_seed_sensitivity():
