@@ -229,7 +229,7 @@ class Build(NamedTuple):
     objective: object
     reference: tuple | None          # (x_star, f_star) when a reference is available
     schedules: dict                  # (lr, T) -> ScheduleSpec, for every rate and horizon
-    run_args: dict                   # the keyword arguments every run takes
+    run_args: dict                   # the keyword arguments of every run at T = epochs
     x0: np.ndarray                   # the start point
 
 
@@ -297,18 +297,29 @@ def _fill(table: dict, keys, config: ExperimentConfig, build: Build):
     """Run one phase: each key = (lr, T) of `keys` that the table lacks gets, per
     seed, the result and the epoch of divergence (None if the run completed).
 
+    A run records only what an artifact reads: at T = epochs (the grid and
+    the primary runs, whose traces are written) it takes the config's trace
+    options; a rate horizon T != epochs, of which the rate fit reads only the
+    final value, takes bare ones, so it records neither accuracy nor the
+    dispersion (and so may take `objective.sweep` and the live twin).
+
     A seed diverges at its first non-finite iterate or at its first trace row
     holding a non-finite number (values can overflow while the iterate stays
     finite), whichever epoch comes first; its trace keeps the rows before it.
+    So a horizon run's verdict rests on its iterate, value and squared
+    gradient norm alone, the numbers the rate fit is built from; a grid or
+    primary run's also on its dispersion when recorded.
     """
+    bare = {**build.run_args, "options": TraceOptions()}
     for key in keys:
         if key in table:
             continue
         table[key] = []
+        args = build.run_args if key[1] == config.epochs else bare
         for seed in config.seeds:
             try:
                 result, bad = run(config.optimizer, build.objective, config.scheme,
-                                  build.schedules[key], seed=seed, **build.run_args), None
+                                  build.schedules[key], seed=seed, **args), None
             except DivergenceError as err:
                 result, bad = err.partial, err.epoch
             k = next((k for k, row in enumerate(result.trace) if not _finite(row)), None)
@@ -411,11 +422,15 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
     table and write the experiment's artifacts.
 
     The table is keyed by (lr, T); the phases are the grid at T = epochs, then
-    the selected or configured rate at epochs and at every rate horizon.  Grid
+    the selected or configured rate at epochs and at every rate horizon.  The
+    runs at T = epochs record what the config asks for; the other horizons
+    record no dispersion or accuracy, which no artifact holds for them, so
+    their divergence verdict leaves the dispersion out (`_fill`).  Grid
     search (constant schedule only) selects the lowest seed-mean final
     training loss among entries where no seed diverged, ties toward the
     smaller rate.  A diverged primary seed marks the summary degraded instead
-    of aborting; an exception before the summary leaves nothing written.
+    of aborting; a diverged rate-sweep run fails the experiment; an
+    exception before the summary leaves nothing written.
     An output directory holding more than an experiment's outputs is
     rejected before the build.
     """

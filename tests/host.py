@@ -4,14 +4,21 @@ No number the golden digests and the CLI corpus hash goes through BLAS or
 LAPACK, so they do not depend on the OpenBLAS kernel or thread count
 (``tests/kernels.py`` checks the kernels), and no total takes the builtin
 ``sum``, so they do not depend on the Python version (``ordered_sum``).  Some
-go through numpy's SIMD loops (array ``np.exp`` and ``np.log``), so they hold
-the bits of the numpy version and SIMD level they were recorded with:
-`RECORDED_HOST`.  When one fails it prints that line beside this host's
-(`hosts`), which also names the Python version, numpy's BLAS build, the
-OpenBLAS kernel in use and OpenBLAS's thread count.  numpy and OpenBLAS both
-pick their kernels by CPU at run time (``NPY_DISABLE_CPU_FEATURES`` turns
-numpy's targets off, ``OPENBLAS_CORETYPE`` forces an OpenBLAS kernel,
-``OPENBLAS_NUM_THREADS`` sets the thread count).
+go through numpy's SIMD loops (array ``np.exp`` and ``np.log``), and some
+through libm (``math.exp`` and ``math.log1p`` in the logistic row step's
+``_logaddexp0``), so they hold the bits of the numpy version and SIMD level,
+and of the glibc version and whether the CPU offers FMA and AVX2, that they
+were recorded with: `RECORDED_HOST`.  glibc picks its ``exp``, ``log`` and
+``log1p`` by CPU at load time, an FMA variant where the CPU has FMA and AVX2,
+and the variants round differently.  When one fails it prints that line
+beside this host's (`hosts`), which also names the Python version, numpy's
+BLAS build, the OpenBLAS kernel in use and OpenBLAS's thread count.  numpy
+and OpenBLAS both pick their kernels by CPU at run time
+(``NPY_DISABLE_CPU_FEATURES`` turns numpy's targets off,
+``OPENBLAS_CORETYPE`` forces an OpenBLAS kernel, ``OPENBLAS_NUM_THREADS``
+sets the thread count), and ``GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA``
+makes glibc take its non-FMA variants in one process, which this line does
+not show: it reports the CPU, not the mask.
 """
 
 import ctypes
@@ -20,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-RECORDED_HOST = "numpy 2.4.6; SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+RECORDED_HOST = "numpy 2.4.6; SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR; glibc 2.36; FMA+AVX2 yes"
 
 
 def _openblas(name: str, restype):
@@ -43,16 +50,29 @@ def _simd() -> str:
     return " ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f)) or "none"
 
 
+def _fma_avx2() -> str:
+    """Whether the CPU offers both FMA and AVX2, as numpy's CPU feature table
+    reads them (whatever numpy's dispatch enables), or "unknown"."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy before 2.0
+        return "unknown"
+    return "yes" if __cpu_features__.get("FMA3") and __cpu_features__.get("AVX2") else "no"
+
+
 def host() -> str:
-    """The Python version, numpy's version and enabled SIMD targets, its BLAS
-    build, and the OpenBLAS kernel and thread count in use."""
+    """The Python version, numpy's version and enabled SIMD targets, the C
+    library and whether the CPU offers FMA and AVX2, numpy's BLAS build, and
+    the OpenBLAS kernel and thread count in use."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except TypeError:  # numpy before 1.26 only prints its configuration
         blas = {}
     core = _openblas("scipy_openblas_get_corename64_", ctypes.c_char_p)
     threads = _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    libc, libc_version = platform.libc_ver()
     return (f"Python {platform.python_version()}; numpy {np.__version__}; SIMD {_simd()}; "
+            f"{libc or 'libc'} {libc_version or 'unknown'}; FMA+AVX2 {_fma_avx2()}; "
             f"BLAS {blas.get('name')} {blas.get('version')} "
             f"({blas.get('openblas configuration', 'no configuration')}); "
             f"kernel {core.decode() if isinstance(core, bytes) else core}; "

@@ -8,11 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shuffleopt import harness
+from shuffleopt import harness, optimizers
 from shuffleopt.cli import main
+from shuffleopt.diagnostics import DispersionRecord
 from shuffleopt.harness import (ConfigError, ExperimentConfig, HarnessError,
                                 RunSummary, emit_plot_data, run_experiment)
 from shuffleopt.objectives import make_quadratic
+from shuffleopt.optimizers import TraceOptions
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -235,6 +237,57 @@ def test_grid_rate_sweep_runs_at_selected_lr(tmp_path, monkeypatch):
         quad_config(schedule={"kind": "constant", "lr": summary.selected_lr}, **sweep),
         tmp_path / "fixed")
     assert summary.rate == fixed.rate
+
+
+def test_rate_horizons_run_with_bare_trace_options(tmp_path, monkeypatch):
+    calls = []
+
+    def spied(*args, **kwargs):
+        calls.append((args[3].T, kwargs["options"]))
+        return run(*args, **kwargs)
+
+    run = harness.run
+    monkeypatch.setattr(harness, "run", spied)
+    config = quad_config(grid=[0.2, 0.05], schedule={"kind": "constant"}, optimizer="sgd",
+                         scheme="rr", epochs=8, seeds=[1, 2], rate_epochs=[4, 8, 16],
+                         record_dispersion=True, record_accuracy=True)
+    run_experiment(config, tmp_path)
+    recorded = TraceOptions(record_dispersion=True, record_accuracy=True)
+    # the grid's runs at T = epochs hold the primary runs and write every trace
+    assert sorted(calls, key=lambda call: call[0]) \
+        == [(4, TraceOptions())] * 2 + [(8, recorded)] * 4 + [(16, TraceOptions())] * 2
+
+
+def test_rate_block_ignores_trace_options(tmp_path):
+    # batch-1 nasg on logistic data: without the dispersion the primary runs
+    # take the one-call sweep, which the horizons take either way
+    raw = {"dataset": {"kind": "libsvm", "path": str(FIXTURES / "blobs600.libsvm")},
+           "optimizer": "nasg", "scheme": "rr", "schedule": {"kind": "thm1"}, "epochs": 8,
+           "seeds": [1, 2], "reference": "solve", "rate_epochs": [4, 8, 16]}
+    plain = run_experiment(ExperimentConfig.from_dict(raw), tmp_path / "plain")
+    recorded = run_experiment(ExperimentConfig.from_dict(
+        {**raw, "record_dispersion": True, "record_accuracy": True}), tmp_path / "recorded")
+    assert recorded.accuracy_mean is not None
+    assert json.dumps(recorded.rate) == json.dumps(plain.rate)  # repr round-trips, so bitwise
+
+
+def test_rate_horizon_verdict_leaves_the_dispersion_out(tmp_path, capsys, monkeypatch):
+    # a dispersion that overflows while the values stay finite fails only the
+    # runs that record it: the primary runs at T = epochs, not the horizons
+    monkeypatch.setattr(optimizers, "epoch_dispersion",
+                        lambda inner: DispersionRecord(math.inf, math.inf))
+    config = {"dataset": {"kind": "quadratic", "n": 20, "d": 4, "seed": 3}, "optimizer": "nasg",
+              "scheme": "rr", "schedule": {"kind": "thm1"}, "epochs": 4, "seeds": [1, 2],
+              "rate_epochs": [8, 16, 32], "record_dispersion": True}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    assert "degraded" in capsys.readouterr().err
+    summary = _strict_json((out / "summary.json").read_text())
+    assert summary["degraded"] is True
+    assert [e["diverged_at_epoch"] for e in summary["per_seed"]] == [1, 1]
+    assert summary["rate"]["epochs"] == [8, 16, 32] and summary["rate"]["slope"] < 0
 
 
 def test_accuracy_series(tmp_path):
