@@ -29,6 +29,12 @@ import numpy as np
 
 RECORDED_HOST = "numpy 2.4.6; SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR; glibc 2.36; FMA+AVX2 yes"
 
+try:  # numpy's CPU dispatch targets and the CPU features it detected
+    from numpy._core._multiarray_umath import __cpu_dispatch__ as _DISPATCH
+    from numpy._core._multiarray_umath import __cpu_features__ as _FEATURES
+except ImportError:  # numpy before 2.0
+    _DISPATCH = _FEATURES = None
+
 
 def _openblas(name: str, restype):
     """The value of a no-argument function of numpy's bundled OpenBLAS, or
@@ -43,21 +49,17 @@ def _openblas(name: str, restype):
 
 def _simd() -> str:
     """The SIMD targets numpy's dispatch enables on this CPU, or "unknown"."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    except ImportError:  # numpy before 2.0
+    if _FEATURES is None:
         return "unknown"
-    return " ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f)) or "none"
+    return " ".join(f for f in _DISPATCH if _FEATURES.get(f)) or "none"
 
 
 def _fma_avx2() -> str:
     """Whether the CPU offers both FMA and AVX2, as numpy's CPU feature table
     reads them (whatever numpy's dispatch enables), or "unknown"."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:  # numpy before 2.0
+    if _FEATURES is None:
         return "unknown"
-    return "yes" if __cpu_features__.get("FMA3") and __cpu_features__.get("AVX2") else "no"
+    return "yes" if _FEATURES.get("FMA3") and _FEATURES.get("AVX2") else "no"
 
 
 def host() -> str:

@@ -222,40 +222,24 @@ def test_grid_rate_sweep_runs_at_selected_lr(tmp_path, monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[3].T)
+        calls.append((args[3].T, kwargs["options"]))
         return run(*args, **kwargs)
 
     run = harness.run
     monkeypatch.setattr(harness, "run", counted)
     sweep = {"optimizer": "sgd", "scheme": "rr", "epochs": 8, "seeds": [1, 2],
-             "rate_epochs": [4, 8, 16]}
+             "rate_epochs": [4, 8, 16], "record_dispersion": True, "record_accuracy": True}
     summary = run_experiment(quad_config(grid=[25.0, 0.2, 0.05], schedule={"kind": "constant"},
                                          **sweep), tmp_path / "grid")
-    # 3 grid rates at T = 8, then the horizons 4 and 16; T = 8 reuses the primary runs
-    assert sorted(calls) == [4, 4] + [8] * 6 + [16, 16]
+    # 3 grid rates at T = 8 with the config's trace options, then the horizons
+    # 4 and 16 with bare ones; T = 8 reuses the primary runs
+    recorded, bare = TraceOptions(record_dispersion=True, record_accuracy=True), TraceOptions()
+    assert sorted(calls, key=lambda call: call[0]) \
+        == [(4, bare)] * 2 + [(8, recorded)] * 6 + [(16, bare)] * 2
     fixed = run_experiment(
         quad_config(schedule={"kind": "constant", "lr": summary.selected_lr}, **sweep),
         tmp_path / "fixed")
     assert summary.rate == fixed.rate
-
-
-def test_rate_horizons_run_with_bare_trace_options(tmp_path, monkeypatch):
-    calls = []
-
-    def spied(*args, **kwargs):
-        calls.append((args[3].T, kwargs["options"]))
-        return run(*args, **kwargs)
-
-    run = harness.run
-    monkeypatch.setattr(harness, "run", spied)
-    config = quad_config(grid=[0.2, 0.05], schedule={"kind": "constant"}, optimizer="sgd",
-                         scheme="rr", epochs=8, seeds=[1, 2], rate_epochs=[4, 8, 16],
-                         record_dispersion=True, record_accuracy=True)
-    run_experiment(config, tmp_path)
-    recorded = TraceOptions(record_dispersion=True, record_accuracy=True)
-    # the grid's runs at T = epochs hold the primary runs and write every trace
-    assert sorted(calls, key=lambda call: call[0]) \
-        == [(4, TraceOptions())] * 2 + [(8, recorded)] * 4 + [(16, TraceOptions())] * 2
 
 
 def test_rate_block_ignores_trace_options(tmp_path):

@@ -504,7 +504,8 @@ def test_run_validation():
 # thm1}.  The digests were recorded with the per-method epoch functions that
 # preceded run's single sweep loop, so they pin the floating-point order of
 # every update rule.  Each entry is (digest, divergence epochs in case order).
-# They hold the bits of the numpy version and SIMD level in `host.RECORDED_HOST`.
+# They hold the bits of the numpy version and SIMD level, the glibc version
+# and the CPU's FMA and AVX2 named in `host.RECORDED_HOST`.
 
 GOLDEN = {
     "quadratic/nasg": (
