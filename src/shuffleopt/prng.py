@@ -3,8 +3,9 @@
 Everything random in this package (permutations, with-replacement draws,
 synthetic problem instances) is a pure function of an integer key, so runs
 replay bit-identically.  The integer stream itself is exactly portable across
-platforms; Gaussian draws additionally go through numpy's SIMD log/cos/sin and
-are reproducible per platform and numpy SIMD level.
+platforms; Gaussian draws additionally go through numpy's log/cos/sin and are
+reproducible per platform, numpy SIMD level (log) and glibc's choice of
+cos/sin variants by CPU (hwcaps), since numpy takes float64 cos/sin from libm.
 """
 
 from __future__ import annotations

@@ -1,27 +1,40 @@
-"""Run the relational tests and every digest test under each OpenBLAS kernel
-that can be forced.
+"""Run the relational tests and every digest test in each cell of the host
+matrix: the settings of the host axes that can move a recorded bit.
 
     python tests/kernels.py
 
-A relational test compares two paths, or two forms of one definition, under
-one kernel, and no recorded number goes through BLAS or LAPACK, so every test
-here should pass under every kernel.  ``OPENBLAS_CORETYPE`` acts only on the
-process it is set for, so each kernel gets its own pytest process, one at a
-time.  A kernel whose instructions this CPU lacks dies of SIGILL and is
-reported as "cannot run here".  Prints one line per kernel and exits 1 when
-any kernel fails.  pytest does not collect this file.
+numpy picks its SIMD loops by CPU at run time, and glibc its ``exp``,
+``log``, ``log1p``, ``cos`` and ``sin`` variants by CPU at load time, and
+either choice can move a digest's last bit.  The cells are numpy's dispatch
+{default, AVX-512 off, capped at X86_V2} x glibc's hwcaps {default,
+``-AVX2,-FMA``}, plus one forced OpenBLAS kernel as a canary: no recorded
+number goes through BLAS (``tests/test_source_rules.py``), so that cell
+should pass.  Each setting acts only on the process it is set for, so each
+cell gets its own pytest process, one at a time.  A cell whose bare ``import
+numpy`` fails (SIGILL, or numpy refusing the setting) is reported as "cannot
+run here".  Prints one line per cell, with the ids of the tests that failed,
+and exits 1 when any cell fails.  It keeps no list of expected failures, so a
+known failure shows as one.  pytest does not collect this file.
 """
 
 import os
-import signal
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-KERNELS = ("SkylakeX", "Haswell", "Sandybridge", "Prescott", "Nehalem")
+NUMPY = {"numpy default": {},
+         "numpy AVX-512 off": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+         "numpy X86_V2": {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}}
+GLIBC = {"glibc default": {},
+         "glibc -AVX2,-FMA": {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA"}}
+CELLS = {f"{n} x {g}": {**numpy_env, **glibc_env}
+         for n, numpy_env in NUMPY.items() for g, glibc_env in GLIBC.items()}
+CELLS["OpenBLAS Prescott"] = {"OPENBLAS_CORETYPE": "Prescott"}
+SETTINGS = {"NPY_DISABLE_CPU_FEATURES", "GLIBC_TUNABLES", "OPENBLAS_CORETYPE"}
 TESTS = ("tests/test_platform.py", "tests/test_literal_methods.py", "tests/test_live_twin.py",
          "tests/test_config_outcomes.py", "tests/test_cli_corpus.py",
+         "tests/test_generated_instances.py::test_generated_instances_bitwise",
          "tests/test_optimizers.py::test_block_sweep_equals_row_steps_bitwise",
          "tests/test_optimizers.py::test_float_sweep_equals_row_steps_bitwise",
          "tests/test_optimizers.py::test_golden_trajectories_bitwise",
@@ -30,30 +43,28 @@ TESTS = ("tests/test_platform.py", "tests/test_literal_methods.py", "tests/test_
          "tests/test_schedules.py::test_step_sizes_bitwise",
          "tests/test_diagnostics.py::test_bounds_bitwise",
          "tests/test_diagnostics.py::test_fit_rate_matches_polyfit")
-# prints the kernel OpenBLAS runs, which may differ from the one forced
-PROBE = ("import sys; sys.path.insert(0, 'tests'); from host import host; "
-         "print(host().split('; ')[-2])")
 
 
-def run_kernel(kernel: str) -> tuple[str, bool]:
-    """What the kernel's run reports, and whether it failed."""
-    env = {**os.environ, "OPENBLAS_CORETYPE": kernel}
-    probe = subprocess.run([sys.executable, "-c", PROBE], cwd=ROOT, env=env,
-                           capture_output=True, text=True)
-    tests = subprocess.run([sys.executable, "-m", "pytest", "-q", *TESTS], cwd=ROOT, env=env,
-                           capture_output=True, text=True)
-    if tests.returncode == -signal.SIGILL:
+def run_cell(settings: dict) -> tuple[str, bool]:
+    """What the cell's run reports, and whether it failed."""
+    env = {k: v for k, v in os.environ.items() if k not in SETTINGS} | settings
+    if subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                      capture_output=True).returncode != 0:
         return "cannot run here", False
+    tests = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rf", *TESTS], cwd=ROOT,
+                           env=env, capture_output=True, text=True)
     lines = tests.stdout.strip().splitlines() or [f"exit {tests.returncode}"]
-    verdict = "pass" if tests.returncode == 0 else "fail"
-    return f"{verdict} ({probe.stdout.strip()}; {lines[-1]})", tests.returncode != 0
+    if tests.returncode == 0:
+        return f"pass ({lines[-1]})", False
+    failed = [line[len("FAILED "):].split(" - ")[0] for line in lines if line.startswith("FAILED ")]
+    return "\n    ".join([f"fail ({lines[-1]})", *failed]), True
 
 
 def main() -> int:
     failed = False
-    for kernel in KERNELS:
-        report, bad = run_kernel(kernel)
-        print(f"{kernel}: {report}", flush=True)
+    for name, settings in CELLS.items():
+        report, bad = run_cell(settings)
+        print(f"{name}: {report}", flush=True)
         failed |= bad
     return 1 if failed else 0
 

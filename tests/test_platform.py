@@ -1,18 +1,11 @@
-"""The numpy and BLAS behaviour that the bitwise gates rest on.
+"""The numpy behaviour that the bitwise gates rest on.
 
 The golden digests, the CLI corpus and the block-sweep tests compare bytes.
-The fast paths keep those bytes only where numpy and the BLAS kernel behave
-as witnessed here, one small test per assumption, so that on a host where one
-fails the failure names the assumption and the host instead of a digest.
-OpenBLAS picks its kernels by CPU at run time (``OPENBLAS_CORETYPE`` forces
-one), so the kernel in use is part of what a failure prints (``host.py``).
-"""
+The fast paths keep those bytes only where numpy behaves as witnessed here,
+one small test per assumption, so that on a host where one fails the failure
+names the assumption and the host instead of a digest (``host.py``)."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -94,35 +87,3 @@ def test_array_exp_and_logaddexp_equal_their_scalar_forms():
         assert (-y * np.exp(-np.logaddexp(0, y * margins))).tobytes() == \
             np.array(scalar).tobytes(), host()
 
-
-# two epochs of batch-1 nasg on sparse-wide's shape (d = 50,000, 8 entries a
-# row), 13,612 of whose columns are live; prints each trace row's squared
-# gradient norm and value as hex, and the final iterate's digest
-WIDE_RUN = """
-import hashlib, sys
-sys.path[:0] = sys.argv[1:]
-from floats import same_floats
-from host import host
-from wide_sets import wide_dataset
-from shuffleopt.objectives import LogisticObjective
-from shuffleopt.optimizers import run
-from shuffleopt.schedules import ScheduleKind, ScheduleSpec
-obj = LogisticObjective(wide_dataset("wide-uniform", n=2000, d=50_000, seed=1))
-assert obj.live_twin[1].size > 10_000
-result = run("nasg", obj, "rr", ScheduleSpec(ScheduleKind.CONSTANT, T=2, lr=0.5), seed=1)
-print([row.grad_sq_norm.hex() for row in result.trace], [row.value.hex() for row in result.trace],
-      hashlib.sha256(result.final_x.tobytes()).hexdigest(), "|", host())
-"""
-
-
-def test_wide_run_ignores_the_blas_thread_count():
-    # OpenBLAS splits a ddot of more than 10,000 entries over its threads, and
-    # the split sum rounds differently, so no recorded number may take one:
-    # the trace's squared norms are numpy sums (objectives.squared_norm).
-    # Each thread count gets its own process.
-    tests = Path(__file__).resolve().parent
-    runs = [subprocess.run([sys.executable, "-c", WIDE_RUN, str(tests.parent / "src"), str(tests)],
-                           env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads)},
-                           capture_output=True, text=True, check=True).stdout.strip()
-            for threads in (1, 2)]
-    assert len({run.split(" | ")[0] for run in runs}) == 1, "\n".join(runs)

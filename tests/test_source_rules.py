@@ -1,10 +1,13 @@
 """No recorded total may depend on the Python version, a scatter order or the
 BLAS kernel, so the library's source uses none of: the builtin `sum` (which
 compensates its float sums from Python 3.12 on), `np.add.at`, the `@`
-operator, numpy's dot-product family and `np.polyfit`, and `np.linalg`.  Its
-totals go through `objectives.ordered_sum` and `objectives.squared_norm`.
-This checks the source itself; ``tests/kernels.py`` checks the numbers under
-each OpenBLAS kernel, outside tier-1."""
+operator, numpy's calls that may go through BLAS or LAPACK (`dot`, `matmul`,
+`inner`, `vdot`, `vecdot`, `matvec`, `vecmat`, `einsum`, `tensordot`,
+`convolve`, `correlate`, `cov`, `corrcoef` and `polyfit`), `np.linalg`, and
+any `.dot` method but the `Dataset`'s own (`self.data.dot`).  Its totals go
+through `objectives.ordered_sum` and `objectives.squared_norm`.  This checks
+the source itself, in tier-1; ``tests/kernels.py`` runs the digests under one
+forced OpenBLAS kernel only, as a canary."""
 
 import ast
 from pathlib import Path
@@ -13,7 +16,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "shuffleopt"
 NUMPY = ("np", "numpy")
-BANNED = {"dot", "matmul", "inner", "vdot", "einsum", "tensordot", "polyfit", "linalg"}
+BANNED = {"dot", "matmul", "inner", "vdot", "vecdot", "matvec", "vecmat", "einsum", "tensordot",
+          "convolve", "correlate", "cov", "corrcoef", "polyfit", "linalg"}
 
 
 def _dotted(node) -> str | None:
@@ -42,6 +46,8 @@ def banned_sites(source: str) -> list[tuple[int, str]]:
             if name in ("np.add.at", "numpy.add.at") or \
                     (len(parts) == 2 and parts[0] in NUMPY and parts[1] in BANNED):
                 sites.append((node.lineno, name))
+            elif node.attr == "dot" and name != "self.data.dot":  # ndarray.dot is BLAS
+                sites.append((node.lineno, name or ".dot"))
         elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg"):
             sites += [(node.lineno, f"{node.module}.{alias.name}") for alias in node.names
                       if node.module == "numpy.linalg" or alias.name in BANNED]
@@ -65,6 +71,12 @@ def banned_sites(source: str) -> list[tuple[int, str]]:
     ("import numpy.linalg", ["numpy.linalg"]),
     # a method of the same name, the ordered sums and numpy's reductions pass
     ("m = self.data.dot(w) + ordered_sum(xs) + np.add.reduce(v) + v.sum()", []),
+    # every banned numpy name, called and imported; any other .dot method
+    *((f"r = np.{name}(a, b)", [f"np.{name}"]) for name in sorted(BANNED)),
+    *((f"from numpy import {name}", [f"numpy.{name}"]) for name in sorted(BANNED)),
+    ("g = x.dot(y)", ["x.dot"]),
+    ("g = self.w.dot(y) + np.ndarray.dot(x, y)", ["self.w.dot", "np.ndarray.dot"]),
+    ("g = (x + 1.0).dot(y)", [".dot"]),
 ])
 def test_guard_finds_each_banned_use(source, found):
     assert [what for _, what in banned_sites(source)] == found
